@@ -88,6 +88,8 @@ def _cmd_tally(args: argparse.Namespace) -> int:
     }
     if est.tie_prob is not None:
         doc["tie_prob"] = est.tie_prob
+    if est.method == "exact_dp":
+        doc["trimmed_mass"] = est.trimmed_mass
     _write_or_print(json.dumps(doc), args.out)
     return 0
 

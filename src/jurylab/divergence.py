@@ -83,13 +83,21 @@ def _is_zero(c0: float, c1: float, a: float, b: float) -> bool:
 def divergences(p: MeasureSpec, q: MeasureSpec, order: int = 20) -> DivergenceReport:
     """Total variation, KL(p||q), Hellinger affinity/distance, Bhattacharyya.
 
-    Continuous parts are taken piece by piece on the merged piece grid.
-    Where rho_p and rho_q coincide, the piece is done in closed form:
-    its affinity term is the piece mass and its TV and KL terms are 0.
+    Equal measures (the same pieces and atoms) give the exact identity
+    values: 0 for every divergence and an affinity of 1.
+
+    Otherwise, continuous parts are taken piece by piece on the merged
+    piece grid.  Where rho_p and rho_q coincide, the piece is done in
+    closed form: its affinity term is the piece mass and its TV and KL
+    terms are 0.
     The other pieces are split at the affine roots of rho_p, rho_q and
     rho_p - rho_q and integrated with adaptive Gauss-Legendre panels of
     the given order. Atom terms are exact.
     """
+    if p.pieces == q.pieces and p.atoms == q.atoms:
+        return DivergenceReport(
+            tv=0.0, kl=0.0, hellinger_affinity=1.0, hellinger_distance=0.0, bhattacharyya=0.0
+        )
     tv = 0.0
     kl = 0.0
     aff = 0.0

@@ -1,7 +1,17 @@
 """Win probabilities for majority and weighted-majority rules.
 
 Simple majority over odd n uses the exact Poisson-binomial upper tail
-P(sum X_i > n/2), X_i in {0,1}, computed by the O(n^2) convolution DP.
+P(sum X_i > n/2), X_i in {0,1}.  The PMF comes from a product tree: the
+voters are split into leaves of 32, whose PMFs are one batched DP
+recurrence, and the leaves are combined pairwise by direct convolution.
+Every term is non-negative, so each entry keeps the DP's relative
+accuracy.  After each combine, entries below 1e-300 are cut from both
+ends of the band and their mass is added to a running `trimmed_mass`;
+convolving with probability vectors cannot grow an L1 error, so that
+sum bounds the error from trimming.  The smaller tail is summed with
+`math.fsum` and the win probability is it or its complement, so it
+lies in [0, 1] with no clamp.
+
 Weighted majority uses the signed formulation X_i in {-1,+1} and
 P(sum w_i X_i > 0); ties (sum exactly 0) count as a loss, which makes
 every reported value a lower bound on the rule's competence.  Exact
@@ -35,6 +45,9 @@ MAX_BRUTE_N = 25
 _REPLICA_TAG = 0x4D43
 _BRUTE_CHUNK = 1 << 20
 _MC_CHUNK_BUDGET = 1 << 22
+# product-tree leaf size and the band trim threshold of the exact tally
+_LEAF = 32
+_TRIM = 1e-300
 
 
 @dataclass(frozen=True)
@@ -44,6 +57,7 @@ class TallyEstimate:
     half_width: float = 0.0
     n_replicas: int = 0
     tie_prob: float | None = None
+    trimmed_mass: float = 0.0
 
 
 def _checked_probs(profile: Profile) -> np.ndarray:
@@ -55,30 +69,62 @@ def _checked_probs(profile: Profile) -> np.ndarray:
     return profile.competences
 
 
-def poisson_binomial_pmf(ps: np.ndarray) -> np.ndarray:
-    """PMF of sum of independent Bernoulli(p_i) by direct convolution."""
+def poisson_binomial_pmf(ps: np.ndarray) -> tuple[int, np.ndarray, float]:
+    """PMF of sum of independent Bernoulli(p_i) as (offset, band, trimmed_mass).
+
+    band[i] is P(sum = offset + i) and every entry outside the band is
+    taken as 0; trimmed_mass, the mass cut over all combines, bounds the
+    L1 distance to the untrimmed PMF.  Leaves of _LEAF voters (padded
+    with p = 0) run the DP as one 2-D recurrence; the leaf PMFs are then
+    convolved pairwise, level by level, and each product is cut to the
+    entries at or above _TRIM.
+    """
     n = len(ps)
-    cur = np.zeros(n + 1)
-    nxt = np.zeros(n + 1)
-    tmp = np.zeros(n + 1)
-    cur[0] = 1.0
-    for k, p in enumerate(ps, start=1):
-        np.multiply(cur[:k], p, out=tmp[:k])
-        np.multiply(cur[:k], 1.0 - p, out=nxt[:k])
-        nxt[k] = 0.0
-        nxt[1 : k + 1] += tmp[:k]
-        cur, nxt = nxt, cur
-    return cur
+    n_leaves = max(1, -(-n // _LEAF))
+    padded = np.zeros(n_leaves * _LEAF)
+    padded[:n] = ps
+    # p_cols[k] is the column of every leaf's k-th p, shaped to broadcast
+    p_cols = padded.reshape(n_leaves, _LEAF).T[:, :, None].copy()
+    q_cols = 1.0 - p_cols
+    pmf = np.zeros((n_leaves, _LEAF + 1))
+    pmf[:, 0] = 1.0
+    # a lone leaf stops at n: its padding steps would multiply by 1 and add 0
+    for k in range(min(n, _LEAF)):
+        up = pmf[:, : k + 1] * p_cols[k]
+        pmf[:, : k + 1] *= q_cols[k]
+        pmf[:, 1 : k + 2] += up
+    nodes = [(0, row) for row in pmf]
+    trimmed = 0.0
+    while len(nodes) > 1:
+        paired = []
+        for (off_a, a), (off_b, b) in zip(nodes[0::2], nodes[1::2]):
+            band = np.convolve(a, b)
+            live = np.flatnonzero(band >= _TRIM)
+            lo, hi = int(live[0]), int(live[-1]) + 1
+            trimmed += float(band[:lo].sum() + band[hi:].sum())
+            paired.append((off_a + off_b + lo, band[lo:hi]))
+        if len(nodes) % 2:
+            paired.append(nodes[-1])
+        nodes = paired
+    offset, band = nodes[0]
+    return offset, band, trimmed
 
 
 def majority_prob_exact(profile: Profile) -> TallyEstimate:
-    """Exact P(sum X_i > n/2) for independent X_i ~ Bernoulli(p_i)."""
+    """Exact P(sum X_i > n/2) for independent X_i ~ Bernoulli(p_i).
+
+    trimmed_mass bounds the probability lost to the band trim.
+    """
     ps = _checked_probs(profile)
-    pmf = poisson_binomial_pmf(ps)
-    tail = pmf[(profile.n + 1) // 2 :]
-    # smallest-first accumulation keeps the rounding error at O(n ulp)
-    value = float(np.sum(np.sort(tail)))
-    return TallyEstimate(value=min(max(value, 0.0), 1.0), method="exact_dp")
+    offset, band, trimmed = poisson_binomial_pmf(ps)
+    split = max((profile.n + 1) // 2 - offset, 0)
+    lower, upper = band[:split], band[split:]
+    # fsum the smaller tail; the larger one is its complement
+    if np.sum(upper) <= np.sum(lower):
+        value = math.fsum(upper.tolist())
+    else:
+        value = 1.0 - math.fsum(lower.tolist())
+    return TallyEstimate(value=value, method="exact_dp", trimmed_mass=trimmed)
 
 
 def anti_majority_prob_exact(profile: Profile) -> TallyEstimate:

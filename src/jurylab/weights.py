@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .measure import MeasureSpec, moment
 from .quadrature import integrate
@@ -254,6 +254,9 @@ def sample_weight(
     alpha = (1.0 - wd) / scheme.sigma_w
     beta = (scheme.W - wd) / scheme.sigma_w
     u = rng.random(arr.shape)
+    # imported here: scipy.stats takes most of `import jurylab`'s time
+    from scipy import stats
+
     eps = scheme.sigma_w * stats.truncnorm.ppf(u, alpha, beta)
     w = np.clip(wd + eps, 1.0, scheme.W)
     return w if (np.ndim(p) or size is not None) else float(w)

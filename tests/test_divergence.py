@@ -18,6 +18,15 @@ def tilt(eps: float) -> MeasureSpec:
     return MeasureSpec(pieces=((0.0, 1.0, 1.0 - eps, 2.0 * eps),))
 
 
+def assert_exact_identity(rep) -> None:
+    assert rep.tv == 0.0
+    assert rep.kl == 0.0
+    assert rep.hellinger_affinity == 1.0
+    assert rep.hellinger_distance == 0.0
+    assert rep.bhattacharyya == 0.0
+    assert math.copysign(1.0, rep.bhattacharyya) == 1.0
+
+
 class TestSpotValues:
     def test_identity(self):
         rep = divergences(affine(2.0), affine(2.0))
@@ -27,11 +36,12 @@ class TestSpotValues:
 
     @pytest.mark.parametrize("spec", [lebesgue(), affine(2.0)], ids=["lebesgue", "affine2"])
     def test_identity_exact(self, spec):
-        rep = divergences(spec, spec)
-        assert rep.hellinger_affinity == 1.0
-        assert rep.hellinger_distance == 0.0
-        assert rep.bhattacharyya == 0.0
-        assert math.copysign(1.0, rep.bhattacharyya) == 1.0
+        assert_exact_identity(divergences(spec, spec))
+
+    def test_identity_exact_random_measures(self, rng):
+        for _ in range(2000):
+            spec = random_measure(rng)
+            assert_exact_identity(divergences(spec, spec))
 
     def test_uniform_vs_2x(self):
         rep = divergences(lebesgue(), affine(2.0))

@@ -6,8 +6,10 @@ import pytest
 
 from jurylab.profile import ExplicitSource, Profile
 from jurylab.tally import (
+    MAX_EXACT_N,
     anti_majority_prob_exact,
     majority_prob_exact,
+    poisson_binomial_pmf,
     proposition41_bound,
     weighted_majority_prob,
 )
@@ -30,6 +32,74 @@ def brute_majority(ps) -> float:
                 pr *= p if o else 1.0 - p
             total += pr
     return total
+
+
+def reference_pmf(ps) -> np.ndarray:
+    """Reference: the O(n^2) voter-by-voter convolution DP."""
+    n = len(ps)
+    cur = np.zeros(n + 1)
+    nxt = np.zeros(n + 1)
+    tmp = np.zeros(n + 1)
+    cur[0] = 1.0
+    for k, p in enumerate(ps, start=1):
+        np.multiply(cur[:k], p, out=tmp[:k])
+        np.multiply(cur[:k], 1.0 - p, out=nxt[:k])
+        nxt[k] = 0.0
+        nxt[1 : k + 1] += tmp[:k]
+        cur, nxt = nxt, cur
+    return cur
+
+
+def full_pmf(ps) -> np.ndarray:
+    """The product-tree band placed in a zero vector of length n + 1."""
+    offset, band, _ = poisson_binomial_pmf(np.asarray(ps, dtype=float))
+    out = np.zeros(len(ps) + 1)
+    live = band[: len(out) - offset]  # a single padded leaf is longer than n + 1
+    out[offset : offset + len(live)] = live
+    return out
+
+
+class TestProductTree:
+    # sizes on both sides of the 32-voter leaf boundaries
+    SIZES = (1, 31, 33, 63, 65, 1001, 4001)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_matches_reference_dp(self, n):
+        rng = np.random.default_rng(n)
+        ps = rng.random(n)
+        ps[rng.integers(0, n, max(1, n // 10))] = 0.0
+        ps[rng.integers(0, n, max(1, n // 10))] = 1.0
+        for profile in (ps, np.full(n, 0.5)):
+            ref = reference_pmf(profile)
+            assert np.max(np.abs(full_pmf(profile) - ref)) <= 1e-12
+            win = majority_prob_exact(explicit(profile)).value
+            assert win == pytest.approx(math.fsum(ref[(n + 1) // 2 :]), abs=1e-12)
+
+    def test_sure_majority_is_exactly_one(self):
+        # the band's total mass rounds to 1 - 5.5e-14 here, so summing the
+        # upper tail would give 0.9999999999999448
+        prof = explicit(np.full(10_001, 0.99))
+        assert majority_prob_exact(prof).value == 1.0
+        assert anti_majority_prob_exact(prof).value == 0.0
+
+    def test_values_in_unit_interval_unclamped(self):
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            n = int(rng.integers(0, 3000)) * 2 + 1
+            centre = rng.uniform(0.0, 1.0)
+            prof = explicit(np.clip(rng.normal(centre, 0.05, n), 0.0, 1.0))
+            for est in (majority_prob_exact(prof), anti_majority_prob_exact(prof)):
+                assert 0.0 <= est.value <= 1.0
+                assert 0.0 <= est.trimmed_mass < 1e-280
+
+    def test_cap_size_mirror_identity(self):
+        prof = explicit(np.random.default_rng(16).random(MAX_EXACT_N))
+        win = majority_prob_exact(prof)
+        anti = anti_majority_prob_exact(prof)
+        assert win.value + anti.value == pytest.approx(1.0, abs=1e-10)
+        for est in (win, anti):
+            assert est.method == "exact_dp"
+            assert 0.0 < est.trimmed_mass < 1e-280
 
 
 class TestMajorityExact:

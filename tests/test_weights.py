@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import jurylab
 from jurylab.measure import MeasureSpec, affine, dirac, lebesgue, moment, sample
 from jurylab.streams import generator
 from jurylab.weights import (
@@ -239,3 +244,13 @@ class TestDrift:
         # (1/2)(-1)(w=1 ... error ~ half-normal at the boundary) ~ base term
         base = 2.0 * moment(coin, 1) - 1.0 + 9.0 * moment_criterion(coin, 1)
         assert drift(coin, scheme) == pytest.approx(base, abs=1e-5)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the import time; only sample_weight loads it
+    code = "import sys, jurylab; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(jurylab.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
