@@ -125,7 +125,7 @@ class Profile:
         p = np.asarray(self.competences, dtype=float)
         if p.ndim != 1:
             raise ValueError("competences must be one-dimensional")
-        if np.any((p < 0.0) | (p > 1.0)):
+        if not np.all((p >= 0.0) & (p <= 1.0)):  # also rejects NaN
             raise ValueError("competences must lie in [0,1]")
         self.competences = p
 

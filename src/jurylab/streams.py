@@ -6,34 +6,68 @@ to one stream; distinct paths give statistically independent streams, so
 profiles, Monte Carlo replicas and parallel workers can each own a
 substream without any shared mutable state.  Results therefore never
 depend on scheduling or worker count.
+
+Draw i of the stream with key k is the 53-bit integer
+mix(k + i * gamma) >> 11, and its uniform is that integer times 2^-53.
+Arrays are mixed in place, _BLOCK entries at a time, so the working set
+of a mixing pass stays in cache however large the request.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
-_INV_2_53 = float(2.0**-53)
+_BLOCK = 1 << 16
 
 
-def _mix64(z: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    """SplitMix64 finalizer; wraps mod 2^64."""
-    with np.errstate(over="ignore"):
-        z = (z + _GAMMA) & np.uint64(_U64_MASK)
-        z = ((z ^ (z >> np.uint64(30))) * _MIX1) & np.uint64(_U64_MASK)
-        z = ((z ^ (z >> np.uint64(27))) * _MIX2) & np.uint64(_U64_MASK)
-        return z ^ (z >> np.uint64(31))
+def _mix_int(z: int) -> int:
+    """SplitMix64 finalizer of z + gamma on a Python int, masked mod 2^64."""
+    z = (z + _GAMMA) & _U64_MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _U64_MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _U64_MASK
+    return z ^ (z >> 31)
+
+
+def _mix_inplace(z: np.ndarray, t: np.ndarray) -> None:
+    """SplitMix64 finalizer of z + gamma, in place; t is scratch of z's shape.
+
+    uint64 array arithmetic wraps mod 2^64, so no masks are needed.
+    """
+    z += _GAMMA
+    np.right_shift(z, 30, out=t)
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, 27, out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, 31, out=t)
+    z ^= t
+
+
+def _fill_bits(out: np.ndarray, keys: np.ndarray, start: int) -> np.ndarray:
+    """out[r, j] = mix(keys[r] + (start + j) * gamma) >> 11, in place."""
+    idx = np.arange(start, start + out.shape[1], dtype=np.uint64)
+    idx *= _GAMMA
+    np.add(keys[:, None], idx[None, :], out=out)
+    flat = out.reshape(-1)
+    scratch = np.empty(min(flat.size, _BLOCK), dtype=np.uint64)
+    for lo in range(0, flat.size, _BLOCK):
+        z = flat[lo : lo + _BLOCK]
+        _mix_inplace(z, scratch[: z.size])
+        z >>= 11
+    return out
 
 
 def stream_key(seed: int, *path: int) -> int:
     """Collapse (seed, *path) into one 64-bit stream key."""
-    key = _mix64(np.uint64(seed & _U64_MASK))
+    key = _mix_int(int(seed) & _U64_MASK)
     for part in path:
-        key = _mix64(key ^ np.uint64(part & _U64_MASK))
-    return int(key)
+        key = _mix_int(key ^ (int(part) & _U64_MASK))
+    return key
 
 
 def uniforms(seed: int, path: tuple[int, ...], count: int, start: int = 0) -> np.ndarray:
@@ -42,11 +76,35 @@ def uniforms(seed: int, path: tuple[int, ...], count: int, start: int = 0) -> np
     Counter-based: index i always yields the same value for a given
     (seed, path), independent of how draws are batched.
     """
-    key = np.uint64(stream_key(seed, *path))
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        bits = _mix64(key + idx * _GAMMA)
-    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    keys = np.array([stream_key(seed, *path)], dtype=np.uint64)
+    bits = _fill_bits(np.empty((1, count), dtype=np.uint64), keys, start)
+    return bits[0] * 2.0**-53
+
+
+def bits_block(
+    seed: int,
+    path: tuple[int, ...],
+    rows: np.ndarray,
+    cols: int,
+    col_start: int = 0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """(len(rows), cols) 53-bit draws as uint64; row r is the substream (path..., r).
+
+    Used for replica-indexed Monte Carlo: each row is an independent
+    per-replica stream, and extending `cols` extends every row in place.
+    Draw b has the uniform b * 2^-53.  `out`, if given, is a C-contiguous
+    uint64 array of that shape and receives the draws.
+    """
+    shape = (len(rows), cols)
+    if out is None:
+        out = np.empty(shape, dtype=np.uint64)
+    elif out.shape != shape or out.dtype != np.uint64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous uint64 array of shape {shape}")
+    row_keys = np.asarray(rows, dtype=np.uint64) * _GAMMA
+    row_keys += stream_key(seed, *path)
+    _mix_inplace(row_keys, np.empty_like(row_keys))
+    return _fill_bits(out, row_keys, col_start)
 
 
 def uniforms_block(
@@ -56,17 +114,8 @@ def uniforms_block(
     cols: int,
     col_start: int = 0,
 ) -> np.ndarray:
-    """(len(rows), cols) uniforms; row r is the substream (path..., r).
-
-    Used for replica-indexed Monte Carlo: each row is an independent
-    per-replica stream, and extending `cols` extends every row in place.
-    """
-    key = np.uint64(stream_key(seed, *path))
-    with np.errstate(over="ignore"):
-        row_keys = _mix64(key + np.asarray(rows, dtype=np.uint64) * _GAMMA)
-        idx = np.arange(col_start, col_start + cols, dtype=np.uint64)
-        bits = _mix64(row_keys[:, None] + idx[None, :] * _GAMMA)
-    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    """(len(rows), cols) uniforms in [0,1): `bits_block` times 2^-53."""
+    return bits_block(seed, path, rows, cols, col_start) * 2.0**-53
 
 
 def generator(seed: int, *path: int) -> np.random.Generator:

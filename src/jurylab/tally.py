@@ -15,8 +15,15 @@ lies in [0, 1] with no clamp.
 Weighted majority uses the signed formulation X_i in {-1,+1} and
 P(sum w_i X_i > 0); ties (sum exactly 0) count as a loss, which makes
 every reported value a lower bound on the rule's competence.  Exact
-enumeration covers n <= 25; beyond that a seeded Monte Carlo with
-per-replica substreams reports a normal-approximation 95% interval.
+enumeration covers n <= 25; beyond that a seeded Monte Carlo runs one
+substream per replica.  It works on blocks of about 2^16 draws, which
+stay in cache: each block is a (replicas, n) array of 53-bit integer
+draws, filled in place by `streams.bits_block`, and voter i is correct
+where its draw is below ceil(p_i * 2^53).  That integer test is exactly
+the test u < p_i on the draw's uniform u = draw * 2^-53, so which voters
+are correct does not depend on the block size.  The win frequency gets a 95% interval:
+Wald for interior counts, and the exact Clopper-Pearson width when every
+replica or none wins, so no interval has zero width.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ __all__ = [
     "majority_prob_exact",
     "anti_majority_prob_exact",
     "weighted_majority_prob",
+    "monte_carlo_estimate",
     "proposition41_bound",
     "MAX_EXACT_N",
     "MAX_BRUTE_N",
@@ -44,7 +52,8 @@ MAX_EXACT_N = 200_001
 MAX_BRUTE_N = 25
 _REPLICA_TAG = 0x4D43
 _BRUTE_CHUNK = 1 << 20
-_MC_CHUNK_BUDGET = 1 << 22
+# entries per Monte Carlo block: the draws and their comparisons stay in cache
+_MC_BLOCK = 1 << 16
 # product-tree leaf size and the band trim threshold of the exact tally
 _LEAF = 32
 _TRIM = 1e-300
@@ -152,24 +161,42 @@ def _brute_force_weighted(ps: np.ndarray, w: np.ndarray) -> TallyEstimate:
     return TallyEstimate(value=win, method="brute_force", tie_prob=tie)
 
 
+def monte_carlo_estimate(successes: int, trials: int) -> TallyEstimate:
+    """The frequency successes / trials with a 95% interval half-width.
+
+    Interior counts get the Wald half-width 1.96 sqrt(p(1-p)/trials).
+    At 0 or `trials` successes Wald gives 0, so the half-width is the
+    exact two-sided Clopper-Pearson one, 1 - 0.025^(1/trials): the whole
+    width of the interval, which reaches from the frequency inwards.
+    """
+    p_hat = successes / trials
+    if 0 < successes < trials:
+        half = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+    else:
+        half = -math.expm1(math.log(0.025) / trials)
+    return TallyEstimate(
+        value=p_hat, method="monte_carlo", half_width=half, n_replicas=trials
+    )
+
+
 def _monte_carlo_weighted(
     ps: np.ndarray, w: np.ndarray, replicas: int, seed: int
 ) -> TallyEstimate:
     n = len(ps)
     wins = 0
     w_sum = float(np.sum(w))
-    chunk = max(1, _MC_CHUNK_BUDGET // n)
-    for start in range(0, replicas, chunk):
-        rows = np.arange(start, min(start + chunk, replicas))
-        u = streams.uniforms_block(seed, (_REPLICA_TAG,), rows, n)
-        correct = u < ps[None, :]
+    # b < ceil(p * 2^53) iff b * 2^-53 < p: the scaling is exact and every
+    # draw b is an integer below 2^53 (so p = 1 passes all, p = 0 none)
+    thresholds = np.ceil(ps * 2.0**53).astype(np.uint64)
+    rows_per_block = max(1, _MC_BLOCK // n)
+    bits = np.empty((rows_per_block, n), dtype=np.uint64)
+    for start in range(0, replicas, rows_per_block):
+        rows = np.arange(start, min(start + rows_per_block, replicas))
+        block = streams.bits_block(seed, (_REPLICA_TAG,), rows, n, out=bits[: len(rows)])
+        correct = block < thresholds
         score = 2.0 * (correct @ w) - w_sum
         wins += int(np.count_nonzero(score > 0.0))
-    p_hat = wins / replicas
-    half = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / replicas)
-    return TallyEstimate(
-        value=p_hat, method="monte_carlo", half_width=half, n_replicas=replicas
-    )
+    return monte_carlo_estimate(wins, replicas)
 
 
 def weighted_majority_prob(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import streams
 from .measure import MeasureSpec, quantile
-from .tally import TallyEstimate
+from .tally import TallyEstimate, monte_carlo_estimate
 
 __all__ = [
     "PathCount",
@@ -130,17 +130,15 @@ def random_walk_return(
     done = 0
     while done < horizon and len(active):
         take = min(_STEP_BLOCK, horizon - done)
-        u = streams.uniforms_block(seed, (_WALK_TAG,), active, take, col_start=done)
-        steps = np.where(u < 0.5, -1, 1).astype(np.int32)
+        bits = streams.bits_block(seed, (_WALK_TAG,), active, take, col_start=done)
+        steps = np.where(bits < 2**52, -1, 1).astype(np.int32)  # the uniform < 1/2
         partial = np.cumsum(steps, axis=1) + position[:, None]
         hit_now = partial.max(axis=1) >= level
         hits[active[hit_now]] = True
         active = active[~hit_now]
         position = partial[~hit_now, -1]
         done += take
-    p_hat = float(np.count_nonzero(hits)) / replicas
-    half = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / replicas)
-    return TallyEstimate(p_hat, "monte_carlo", half, replicas)
+    return monte_carlo_estimate(int(np.count_nonzero(hits)), replicas)
 
 
 def moa_fraction_experiment(
@@ -168,6 +166,4 @@ def moa_fraction_experiment(
         p = quantile(spec, u.ravel()).reshape(u.shape)
         counts = np.count_nonzero(p >= threshold, axis=1)
         successes += int(np.count_nonzero(counts > eps * n))
-    p_hat = successes / trials
-    half = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
-    return TallyEstimate(p_hat, "monte_carlo", half, trials)
+    return monte_carlo_estimate(successes, trials)

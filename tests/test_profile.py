@@ -73,6 +73,13 @@ class TestGenerate:
             generate(ExplicitSource((0.9,)), 3)
 
 
+class TestProfileValidation:
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1, math.inf])
+    def test_out_of_range_or_nan_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            Profile(np.array([0.6, bad, 0.7]), CondorcetSource(0.1))
+
+
 class TestQStatistic:
     def test_centered(self):
         assert q_statistic(explicit([0.5] * 7)) == 0.0

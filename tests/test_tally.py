@@ -4,15 +4,19 @@ import math
 import numpy as np
 import pytest
 
-from jurylab.profile import ExplicitSource, Profile
+from jurylab import streams, tally
+from jurylab.measure import affine
+from jurylab.profile import ExplicitSource, IidSource, Profile, generate
 from jurylab.tally import (
     MAX_EXACT_N,
     anti_majority_prob_exact,
     majority_prob_exact,
+    monte_carlo_estimate,
     poisson_binomial_pmf,
     proposition41_bound,
     weighted_majority_prob,
 )
+from jurylab.weights import StochasticPoly, find_k, sample_weight
 
 SG = [0.9, 0.9, 0.6, 0.6, 0.6]
 
@@ -57,6 +61,21 @@ def full_pmf(ps) -> np.ndarray:
     live = band[: len(out) - offset]  # a single padded leaf is longer than n + 1
     out[offset : offset + len(live)] = live
     return out
+
+
+def reference_mc_value(ps, w, replicas, seed) -> float:
+    """Reference: the float Monte Carlo kernel, u < p on 2^22-entry chunks."""
+    n = len(ps)
+    wins = 0
+    w_sum = float(np.sum(w))
+    chunk = max(1, (1 << 22) // n)
+    for start in range(0, replicas, chunk):
+        rows = np.arange(start, min(start + chunk, replicas))
+        u = streams.uniforms_block(seed, (tally._REPLICA_TAG,), rows, n)
+        correct = u < ps[None, :]
+        score = 2.0 * (correct @ w) - w_sum
+        wins += int(np.count_nonzero(score > 0.0))
+    return wins / replicas
 
 
 class TestProductTree:
@@ -243,6 +262,64 @@ class TestWeightedMajority:
         big = explicit([0.6] * 51)
         est = weighted_majority_prob(big, [1.0] * 51, mode="auto", replicas=2000, seed=1)
         assert est.method == "monte_carlo"
+
+
+class TestMonteCarloKernel:
+    # 65537 voters exceed one block, so each block holds a single replica
+    @pytest.mark.parametrize("n,replicas", [(27, 3000), (101, 2000), (65_537, 100)])
+    def test_matches_float_reference_bitwise(self, n, replicas):
+        rng = np.random.default_rng(n)
+        ps = rng.random(n)
+        ps[:3] = (0.0, 1.0, 0.5)
+        k = rng.integers(1, 2**53, 8).astype(float)
+        ps[3:11] = np.nextafter(k * 2.0**-53, np.repeat([0.0, 1.0], 4))
+        for w in (np.ones(n), rng.normal(1.0, 1.0, n)):
+            est = weighted_majority_prob(explicit(ps), w, mode="mc", replicas=replicas, seed=n)
+            assert est.value == reference_mc_value(ps, w, replicas, n)
+
+    def test_thresholds_exact_at_the_draws(self):
+        # voter 0 alone decides, and its p sits on, just below and just
+        # above draws of its own stream, so an off-by-one threshold shows
+        n, replicas, seed = 27, 400, 5
+        w = np.zeros(n)
+        w[0] = 1.0
+        rows = np.arange(replicas)
+        draws = streams.uniforms_block(seed, (tally._REPLICA_TAG,), rows, 1)[:, 0]
+        ps = np.random.default_rng(3).random(n)
+        for d in draws[:4]:
+            for p0 in (np.nextafter(d, 0.0), d, np.nextafter(d, 1.0)):
+                ps[0] = p0
+                est = weighted_majority_prob(
+                    explicit(ps), w, mode="mc", replicas=replicas, seed=seed
+                )
+                assert est.value == np.count_nonzero(draws < p0) / replicas
+                assert est.value == reference_mc_value(ps, w, replicas, seed)
+
+
+class TestMonteCarloInterval:
+    def test_interior_counts_keep_wald(self):
+        for wins, trials in ((1, 100), (37, 100), (9_999, 10_000)):
+            p = wins / trials
+            est = monte_carlo_estimate(wins, trials)
+            assert est.value == p
+            assert est.half_width == 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+
+    @pytest.mark.parametrize("trials", [100, 2_000, 10_000])
+    def test_extreme_counts_get_clopper_pearson(self, trials):
+        # the exact 95% interval at 0 successes is [0, h] with (1 - h)^trials = 0.025
+        for wins in (0, trials):
+            est = monte_carlo_estimate(wins, trials)
+            assert est.value == wins / trials
+            assert (1.0 - est.half_width) ** trials == pytest.approx(0.025, rel=1e-9)
+
+    def test_criterion_7_profile_has_positive_width(self):
+        spec = affine(-2.0)
+        scheme = StochasticPoly(W=100.0, k=find_k(spec), sigma_w=99.0 / 50.0)
+        prof = generate(IidSource(spec), 10_001, seed=streams.stream_key(0, 7))
+        w = sample_weight(scheme, prof.competences, streams.generator(0, 7, 1))
+        est = weighted_majority_prob(prof, w, mode="mc", replicas=10_000, seed=0)
+        assert est.value == 1.0
+        assert 0.0 < est.half_width < 1e-3
 
 
 class TestProposition41Bound:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jurylab.measure import dirac, lebesgue
+from jurylab.measure import affine, dirac, lebesgue
 from jurylab.walk import (
     border_measure,
     border_measure_enumerated,
@@ -84,7 +84,17 @@ class TestBorderMeasure:
 
 class TestRandomWalkReturn:
     def test_level_zero_immediate(self):
-        assert random_walk_return(0, 10, 1000).value == 1.0
+        est = random_walk_return(0, 10, 1000)
+        assert (est.value, est.half_width) == (1.0, 0.0)
+
+    def test_pinned_values(self):
+        # recorded from the float-uniform step draws (u < 1/2 steps down)
+        for k, horizon, replicas, seed, value, half in (
+            (3, 50, 5000, 4, 0.6732, 0.01300122118276587),
+            (10, 1000, 4000, 2, 0.76625, 0.013115568778173518),
+        ):
+            est = random_walk_return(k, horizon, replicas, seed=seed)
+            assert (est.value, est.half_width) == (value, half)
 
     def test_single_step(self):
         est = random_walk_return(1, 1, 100_000)
@@ -117,6 +127,11 @@ class TestMoaFractionExperiment:
     def test_uniform_below_mass(self):
         est = moa_fraction_experiment(lebesgue(), 0.1, 0.2, 10_000, 200)
         assert est.value <= 0.001
+
+    def test_no_successes_nonzero_width(self):
+        est = moa_fraction_experiment(affine(1.0), 0.2, 0.35, 501, 400, seed=1)
+        assert est.value == 0.0
+        assert est.half_width == pytest.approx(1.0 - 0.025 ** (1 / 400), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
