@@ -6,6 +6,18 @@ disjoint point masses sit at distance 2.  The Kullback-Leibler
 divergence is KL(p||q) with p first; it and the Bhattacharyya distance
 return +inf when p is not absolutely continuous w.r.t. q on a set of
 positive p-mass.
+
+Every continuous term is a closed form.  Densities are affine on each
+piece of the merged grid, and after a split at the roots of rho_p, rho_q
+and rho_p - rho_q, each term on a sub-piece is an elementary
+antiderivative (Gradshteyn & Ryzhik 2.26 and 2.72): the signed mass for
+TV, the integral of sqrt(rho_p rho_q) for the affinity, and of
+rho_p log(rho_p/rho_q) for KL.  The textbook forms of the last two
+cancel catastrophically when a slope is small, so the affinity is
+written as a sum of non-negative terms in each density's distance to
+its own root, and KL about the piece midpoint with logarithmic forms
+and fixed-length power series.  A density that vanishes at, or very
+near, a piece end costs nothing extra.
 """
 
 from __future__ import annotations
@@ -18,7 +30,6 @@ from typing import Iterable, Literal
 import numpy as np
 
 from .measure import MeasureSpec
-from .quadrature import integrate
 
 __all__ = [
     "DivergenceReport",
@@ -80,7 +91,7 @@ def _is_zero(c0: float, c1: float, a: float, b: float) -> bool:
     return abs(c0 + c1 * a) < _ZERO_DENSITY and abs(c0 + c1 * b) < _ZERO_DENSITY
 
 
-def divergences(p: MeasureSpec, q: MeasureSpec, order: int = 20) -> DivergenceReport:
+def divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
     """Total variation, KL(p||q), Hellinger affinity/distance, Bhattacharyya.
 
     Equal measures (the same pieces and atoms) give the exact identity
@@ -89,10 +100,12 @@ def divergences(p: MeasureSpec, q: MeasureSpec, order: int = 20) -> DivergenceRe
     Otherwise, continuous parts are taken piece by piece on the merged
     piece grid.  Where rho_p and rho_q coincide, the piece is done in
     closed form: its affinity term is the piece mass and its TV and KL
-    terms are 0.
-    The other pieces are split at the affine roots of rho_p, rho_q and
-    rho_p - rho_q and integrated with adaptive Gauss-Legendre panels of
-    the given order. Atom terms are exact.
+    terms are 0.  The other pieces are split at the affine roots of
+    rho_p, rho_q and rho_p - rho_q.  On each sub-piece both densities
+    are affine and non-negative, fixed by their end values (exactly 0
+    at a cut root), and every term has a closed form: TV from the
+    signed mass, the affinity from `_affinity_piece` and the KL term
+    from `_kl_piece`.  Atom terms are exact.  No quadrature is used.
     """
     if p.pieces == q.pieces and p.atoms == q.atoms:
         return DivergenceReport(
@@ -107,13 +120,12 @@ def divergences(p: MeasureSpec, q: MeasureSpec, order: int = 20) -> DivergenceRe
         if (pc0, pc1) == (qc0, qc1):
             aff += pc0 * (b0 - a0) + 0.5 * pc1 * (b0 * b0 - a0 * a0)
             continue
-        cuts = {a0, b0}
-        for c0, c1 in ((pc0, pc1), (qc0, qc1), (pc0 - qc0, pc1 - qc1)):
-            r = _affine_root_inside(c0, c1, a0, b0)
-            if r is not None:
-                cuts.add(r)
-        grid = sorted(cuts)
-        for a, b in zip(grid, grid[1:]):
+        p_root = _affine_root_inside(pc0, pc1, a0, b0)
+        q_root = _affine_root_inside(qc0, qc1, a0, b0)
+        d_root = _affine_root_inside(pc0 - qc0, pc1 - qc1, a0, b0)
+        grid = sorted({a0, b0} | {r for r in (p_root, q_root, d_root) if r is not None})
+        ends = [(_end_value(pc0, pc1, x, p_root), _end_value(qc0, qc1, x, q_root)) for x in grid]
+        for a, b, (u0, v0), (u1, v1) in zip(grid, grid[1:], ends, ends[1:]):
             p_zero = _is_zero(pc0, pc1, a, b)
             q_zero = _is_zero(qc0, qc1, a, b)
             # TV: sign of rho_p - rho_q is constant after the root split
@@ -121,24 +133,12 @@ def divergences(p: MeasureSpec, q: MeasureSpec, order: int = 20) -> DivergenceRe
                 (pc0 - qc0) * (b - a) + 0.5 * (pc1 - qc1) * (b * b - a * a)
             )
             if not (p_zero or q_zero):
-                aff += integrate(
-                    lambda x: np.sqrt(
-                        np.clip((pc0 + pc1 * x) * (qc0 + qc1 * x), 0.0, None)
-                    ),
-                    a,
-                    b,
-                    order=order,
-                )
+                aff += _affinity_piece(b - a, u0, u1, v0, v1)
             if not p_zero:
                 if q_zero:
                     kl = math.inf
                 elif not math.isinf(kl):
-                    kl += integrate(
-                        lambda x: _kl_integrand(pc0, pc1, qc0, qc1, x),
-                        a,
-                        b,
-                        order=order,
-                    )
+                    kl += _kl_piece(b - a, u0, u1, v0, v1)
     p_atoms = dict(p.atoms)
     q_atoms = dict(q.atoms)
     for x in sorted(set(p_atoms) | set(q_atoms)):
@@ -161,10 +161,146 @@ def divergences(p: MeasureSpec, q: MeasureSpec, order: int = 20) -> DivergenceRe
     )
 
 
-def _kl_integrand(pc0, pc1, qc0, qc1, x):
-    rp = pc0 + pc1 * x
-    rq = np.maximum(qc0 + qc1 * x, _ZERO_DENSITY)
-    return np.where(rp > 0.0, rp * np.log(np.maximum(rp, _ZERO_DENSITY) / rq), 0.0)
+def _end_value(c0: float, c1: float, x: float, root: float | None) -> float:
+    """Density c0 + c1*x at a sub-piece end: exactly 0 at its own cut
+    root, and never below 0 (a spec may dip to -1e-12 at a piece end)."""
+    return 0.0 if x == root else max(0.0, c0 + c1 * x)
+
+
+# Taylor coefficients.  Each series has a fixed length that reaches
+# double precision where it is used (|x| <= 1/2 for the first, |x| < 1/4
+# for the rest), so no loop waits on a tolerance; a slope of 0 is fine.
+# (sinh x - x)/x^3 = sum_k _SINH_C[k] (x^2)^k, and (x - sin x)/x^3 the
+# same at -x^2.
+_SINH_C = tuple(1.0 / math.factorial(2 * k + 3) for k in range(8))
+# F(a)/a^2, -L0(b)/b^2 and L1(b)/b (see _kl_piece), in powers of the square
+_F_C = tuple(2.0 / ((2 * j) * (2 * j - 1) * (2 * j + 1)) for j in range(1, 15))
+_L0_C = tuple(1.0 / (j * (2 * j + 1)) for j in range(1, 15))
+_L1_C = tuple(2.0 / ((2 * j + 1) * (2 * j + 3)) for j in range(14))
+_SERIES_BELOW = 0.25
+
+
+def _poly(coeffs: tuple[float, ...], x: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _affinity_piece(h: float, u0: float, u1: float, v0: float, v1: float) -> float:
+    """Integral of sqrt(u v) over a sub-piece of width h, where u and v
+    are affine with the non-negative end values u0, u1 and v0, v1.
+
+    In t = (x - x0)/h the slopes are du = u1 - u0 and dv = v1 - v0.
+    Two flat densities give h sqrt(u0 v0), and one flat density the
+    3/2-power form.  Otherwise each density is written through its
+    distance to its own root, d_u = u/|du| and d_v = v/|dv|, and the
+    integral is h sqrt|du dv| times the integral of sqrt(d_u d_v) dt.
+    When the slopes share a sign, d_u - d_v = +-2R is constant and the
+    swept angle Delta is hyperbolic; when they do not, d_u + d_v = 2R and
+    Delta is circular.  With M = (sqrt(d_u0 d_v1) + sqrt(d_v0 d_u1))/2,
+    that integral is M^2 sinh(Delta) + R^2 (sinh(Delta) - Delta)/2, or
+    M^2 sin(Delta) + R^2 (Delta - sin(Delta))/2.  Every term is
+    non-negative and made of products and sums, so nothing cancels when
+    a slope is small or the densities are proportional; the differences
+    of Delta and sinh or sin are series for Delta <= 1/2.
+    """
+    if (u0 == 0.0 and u1 == 0.0) or (v0 == 0.0 and v1 == 0.0):
+        return 0.0
+    du, dv = u1 - u0, v1 - v0
+    if du == 0.0 and dv == 0.0:
+        return h * math.sqrt(u0) * math.sqrt(v0)
+    if dv == 0.0:
+        return h * math.sqrt(v0) * _sqrt_mean(u0, u1)
+    if du == 0.0:
+        return h * math.sqrt(u0) * _sqrt_mean(v0, v1)
+    su, sv = abs(du), abs(dv)
+    d_u0, d_u1, d_v0, d_v1 = u0 / su, u1 / su, v0 / sv, v1 / sv
+    m = 0.5 * (math.sqrt(d_u0 * d_v1) + math.sqrt(d_v0 * d_u1))
+    if (du > 0.0) == (dv > 0.0):
+        # R from the end nearer both roots, where d_u - d_v is least rounded
+        r = 0.5 * abs(d_u0 - d_v0) if d_u0 + d_v0 <= d_u1 + d_v1 else 0.5 * abs(d_u1 - d_v1)
+        # sinh(Delta/2) = s = 1/(2M), so M^2 sinh(Delta) = sqrt(M^2 + 1/4);
+        # M = 0 only with a common root at an end, where R = 0 too
+        core = math.sqrt(m * m + 0.25)
+        if r > 0.0:
+            s = 0.5 / m
+            delta = 2.0 * math.asinh(s)
+            if delta <= 0.5:
+                core += 0.5 * r * r * delta**3 * _poly(_SINH_C, delta * delta)
+            else:
+                core += r * r * (s * math.sqrt(1.0 + s * s) - 0.5 * delta)
+    else:
+        r = 0.25 * (d_u0 + d_v0 + d_u1 + d_v1)
+        # sin(Delta/2) = 1/(2M) and cos(Delta/2) = c/(2R), both sums
+        c = math.sqrt(d_u0 * d_u1) + math.sqrt(d_v0 * d_v1)
+        delta = 2.0 * math.atan2(r, m * c)
+        core = 0.5 * m * c / r
+        if delta <= 0.5:
+            core += 0.5 * r * r * delta**3 * _poly(_SINH_C, -delta * delta)
+        else:
+            core += 0.5 * r * r * (delta - math.sin(delta))
+    return h * math.sqrt(su * sv) * core
+
+
+def _sqrt_mean(u0: float, u1: float) -> float:
+    """Mean of sqrt(u) over a piece where u is affine from u0 to u1."""
+    r0, r1 = math.sqrt(u0), math.sqrt(u1)
+    return (2.0 / 3.0) * (u0 + r0 * r1 + u1) / (r0 + r1)
+
+
+def _kl_piece(h: float, u0: float, u1: float, v0: float, v1: float) -> float:
+    """Integral of u log(u/v) over a sub-piece of width h, where u and v
+    are affine with the non-negative end values u0, u1 and v0, v1.
+
+    About the midpoint, u = ubar (1 + a s) and v = vbar (1 + b s) for s
+    in [-1, 1], so the integral is (h/2) ubar [2 log(ubar/vbar) + F(a)
+    - L0(b) - a L1(b)], where F(a) = int (1+as) log(1+as) ds, L0(b) =
+    int log(1+bs) ds and L1(b) = int s log(1+bs) ds.  |a|, |b| <= 1, and
+    a root at an end is a or b = +-1.  Each of F, L0 and L1 is a closed
+    form in log(1 - a) and log(1 + a) for |a|, |b| >= 1/4, and an even
+    or odd power series below that, where the closed forms would divide
+    small differences by a or b^2.
+    """
+    us, vs = u0 + u1, v0 + v1
+    if us == 0.0:
+        return 0.0
+    if vs == 0.0:
+        return math.inf
+    # 1 -+ a and 1 -+ b from the end values, not from a and b: near a root
+    # at an end, 1 - |b| would lose its relative accuracy
+    a, lo_u, hi_u = (u1 - u0) / us, 2.0 * u0 / us, 2.0 * u1 / us
+    b, lo_v, hi_v = (v1 - v0) / vs, 2.0 * v0 / vs, 2.0 * v1 / vs
+    bracket = _f(a, lo_u, hi_u) - _l0(b, lo_v, hi_v) - a * _l1(b, lo_v, hi_v)
+    return 0.25 * h * us * (2.0 * math.log(us / vs) + bracket)
+
+
+def _f(a: float, lo: float, hi: float) -> float:
+    """int_{-1}^{1} (1 + a s) log(1 + a s) ds, given lo = 1 - a, hi = 1 + a."""
+    if abs(a) < _SERIES_BELOW:
+        return a * a * _poly(_F_C, a * a)
+    return (hi * _xlogx(hi) - lo * _xlogx(lo)) / (2.0 * a) - 1.0
+
+
+def _l0(b: float, lo: float, hi: float) -> float:
+    """int_{-1}^{1} log(1 + b s) ds, given lo = 1 - b, hi = 1 + b."""
+    if abs(b) < _SERIES_BELOW:
+        return -b * b * _poly(_L0_C, b * b)
+    return (_xlogx(hi) - _xlogx(lo)) / b - 2.0
+
+
+def _l1(b: float, lo: float, hi: float) -> float:
+    """int_{-1}^{1} s log(1 + b s) ds, given lo = 1 - b, hi = 1 + b."""
+    if abs(b) < _SERIES_BELOW:
+        return b * _poly(_L1_C, b * b)
+    if lo == 0.0 or hi == 0.0:
+        return 1.0 / b
+    return 1.0 / b - lo * hi * (math.log(hi) - math.log(lo)) / (2.0 * b * b)
+
+
+def _xlogx(x: float) -> float:
+    """x log x, with its limit 0 at x = 0."""
+    return x * math.log(x) if x > 0.0 else 0.0
 
 
 def absolutely_continuous(p: MeasureSpec, base: MeasureSpec) -> bool:

@@ -1,11 +1,11 @@
 """Adaptive Gauss-Legendre panels for piecewise-smooth integrands.
 
-Densities in this package are piecewise affine, so the integrands we
-meet (|p-q|, sqrt(p*q), p*log(p/q), truncated-normal factors) are smooth
-except at piece boundaries and at density roots.  A fixed-order panel
-with bisection-on-disagreement resolves the endpoint sqrt/log
-singularities geometrically while staying exact-to-rounding on smooth
-panels.
+The one integrand left without a closed form is the truncated-normal
+error term of `weights.drift`, a smooth function times an affine
+density on each piece; the divergences are closed forms
+(`jurylab.divergence`).  A fixed-order panel with
+bisection-on-disagreement stays exact-to-rounding on smooth panels, and
+`integrate` reports whether every panel met its budget.
 """
 
 from __future__ import annotations
@@ -37,26 +37,30 @@ def integrate(
     order: int = 20,
     abs_tol: float = 1e-13,
     max_depth: int = 48,
-) -> float:
+) -> tuple[float, bool]:
     """Adaptive bisection: refine a panel until the split agrees with it.
 
     abs_tol is an absolute target for the whole interval; each split
-    halves the budget so the recursion cannot over-spend it.
+    halves the budget so the recursion cannot over-spend it.  Returns
+    (value, converged); converged is False when any panel reached
+    max_depth with its halves still disagreeing by more than its budget.
     """
     if not b > a:
-        return 0.0
+        return 0.0, True
     whole = gl_panel(f, a, b, order)
     return _refine(f, a, b, whole, order, abs_tol, max_depth)
 
 
-def _refine(f, a, b, whole, order, budget, depth) -> float:
+def _refine(f, a, b, whole, order, budget, depth) -> tuple[float, bool]:
     mid = 0.5 * (a + b)
     left = gl_panel(f, a, mid, order)
     right = gl_panel(f, mid, b, order)
     total = left + right
-    if depth <= 0 or abs(total - whole) <= budget:
-        return total
+    if abs(total - whole) <= budget:
+        return total, True
+    if depth <= 0:
+        return total, False
     half_budget = 0.5 * budget
-    return _refine(f, a, mid, left, order, half_budget, depth - 1) + _refine(
-        f, mid, b, right, order, half_budget, depth - 1
-    )
+    lv, lc = _refine(f, a, mid, left, order, half_budget, depth - 1)
+    rv, rc = _refine(f, mid, b, right, order, half_budget, depth - 1)
+    return lv + rv, lc and rc

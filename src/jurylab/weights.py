@@ -15,6 +15,7 @@ drift of the weighted tally under a competence measure.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Union
 
@@ -287,7 +288,9 @@ def drift(spec: MeasureSpec, scheme: StochasticPoly, order: int = 64) -> float:
     E[(2p-1) E(eps|p)] is integrated by adaptive Gauss-Legendre panels
     against the density and summed exactly over atoms.  The truncation
     interval is the scheme's own (1 - w_d, W - w_d), so this limit is
-    exactly what sampled weights average to.
+    exactly what sampled weights average to.  A piece whose quadrature
+    stops at its depth limit without converging raises a RuntimeWarning
+    naming the piece; its value is still added.
     """
     if not isinstance(scheme, StochasticPoly):
         raise TypeError("drift needs a stochastic scheme")
@@ -299,7 +302,15 @@ def drift(spec: MeasureSpec, scheme: StochasticPoly, order: int = 64) -> float:
 
     err_term = 0.0
     for lo, hi, _, _ in spec.pieces:
-        err_term += integrate(integrand, lo, hi, order=order, abs_tol=1e-12)
+        value, converged = integrate(integrand, lo, hi, order=order, abs_tol=1e-12)
+        if not converged:
+            warnings.warn(
+                f"drift: quadrature on piece [{lo}, {hi}] stopped at its depth limit "
+                "without converging",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        err_term += value
     for x, m in spec.atoms:
         err_term += m * (2.0 * x - 1.0) * float(_error_mean(scheme, np.asarray(x)))
     return base + err_term

@@ -4,18 +4,95 @@ import numpy as np
 import pytest
 
 from jurylab.divergence import (
+    DivergenceReport,
+    _affine_root_inside,
+    _coeffs_on,
+    _is_zero,
+    _merged_grid,
     absolutely_continuous,
     divergences,
     kakutani_criterion,
 )
 from jurylab.measure import MeasureSpec, affine, dirac, lebesgue
+from jurylab.quadrature import integrate
 
 from conftest import random_measure
+
+FIELDS = ("tv", "kl", "hellinger_affinity", "hellinger_distance", "bhattacharyya")
 
 
 def tilt(eps: float) -> MeasureSpec:
     """Density 1 + eps*(2x - 1), a TV-distance eps/2 tilt of uniform."""
     return MeasureSpec(pieces=((0.0, 1.0, 1.0 - eps, 2.0 * eps),))
+
+
+# density 1 + 1e-12 (x - 1/2): a slope of 1e-12 against unit density
+TINY_SLOPE = MeasureSpec(pieces=((0.0, 1.0, 1.0 - 5e-13, 1e-12),))
+
+
+def reference_divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
+    """Reference: the same grid and atom terms with every continuous
+    sqrt(rho_p rho_q) and rho_p log(rho_p/rho_q) term integrated by
+    adaptive Gauss-Legendre panels of order 20.  It runs away when q's
+    density nearly vanishes at a piece end where p has mass, so only
+    the random measures below are given to it."""
+    if p.pieces == q.pieces and p.atoms == q.atoms:
+        return DivergenceReport(0.0, 0.0, 1.0, 0.0, 0.0)
+    tv = kl = aff = 0.0
+    for a0, b0 in _merged_grid(p, q):
+        pc0, pc1 = _coeffs_on(p, a0, b0)
+        qc0, qc1 = _coeffs_on(q, a0, b0)
+        if (pc0, pc1) == (qc0, qc1):
+            aff += pc0 * (b0 - a0) + 0.5 * pc1 * (b0 * b0 - a0 * a0)
+            continue
+        cuts = {a0, b0}
+        for c0, c1 in ((pc0, pc1), (qc0, qc1), (pc0 - qc0, pc1 - qc1)):
+            r = _affine_root_inside(c0, c1, a0, b0)
+            if r is not None:
+                cuts.add(r)
+        grid = sorted(cuts)
+        for a, b in zip(grid, grid[1:]):
+            p_zero = _is_zero(pc0, pc1, a, b)
+            q_zero = _is_zero(qc0, qc1, a, b)
+            tv += abs((pc0 - qc0) * (b - a) + 0.5 * (pc1 - qc1) * (b * b - a * a))
+
+            def root_pq(x):
+                return np.sqrt(np.clip((pc0 + pc1 * x) * (qc0 + qc1 * x), 0.0, None))
+
+            def p_log_pq(x):
+                rp = pc0 + pc1 * x
+                rq = np.maximum(qc0 + qc1 * x, 1e-300)
+                return np.where(rp > 0.0, rp * np.log(np.maximum(rp, 1e-300) / rq), 0.0)
+
+            if not (p_zero or q_zero):
+                aff += integrate(root_pq, a, b)[0]
+            if not p_zero:
+                kl = math.inf if q_zero or math.isinf(kl) else kl + integrate(p_log_pq, a, b)[0]
+    p_atoms, q_atoms = dict(p.atoms), dict(q.atoms)
+    for x in sorted(set(p_atoms) | set(q_atoms)):
+        mp, mq = p_atoms.get(x, 0.0), q_atoms.get(x, 0.0)
+        tv += abs(mp - mq)
+        aff += math.sqrt(mp * mq)
+        if mp > 0.0:
+            kl = math.inf if mq == 0.0 else kl + mp * math.log(mp / mq)
+    aff = min(aff, 1.0)
+    return DivergenceReport(
+        tv=tv,
+        kl=max(kl, 0.0) if not math.isinf(kl) else math.inf,
+        hellinger_affinity=aff,
+        hellinger_distance=math.sqrt(max(0.0, 2.0 * (1.0 - aff))),
+        bhattacharyya=0.0 - math.log(aff) if aff > 0.0 else math.inf,
+    )
+
+
+def assert_matches_reference(p: MeasureSpec, q: MeasureSpec) -> None:
+    rep, ref = divergences(p, q), reference_divergences(p, q)
+    for f in FIELDS:
+        a, b = getattr(rep, f), getattr(ref, f)
+        if math.isinf(a) or math.isinf(b):
+            assert a == b, (f, p, q)
+        else:
+            assert abs(a - b) <= 1e-12, (f, a, b, p, q)
 
 
 def assert_exact_identity(rep) -> None:
@@ -56,6 +133,72 @@ class TestSpotValues:
         assert math.isinf(rep.kl)
         assert math.isinf(rep.bhattacharyya)
 
+    # 50-digit mpmath integrals of the specs' own float coefficients.  The
+    # first pair took about 5 s under adaptive quadrature: q's density
+    # vanishes at x = 1 where p has mass.  The near-root family puts q's
+    # end density at 1e-5, 1e-12 and exactly 0 against p's unit mass.
+    @pytest.mark.parametrize(
+        "p, q, tv, aff, kl",
+        [
+            (affine(0.16), affine(-2.0), 0.54, 0.93502550092560171983, 0.34792017002503253985),
+            (
+                lebesgue(),
+                affine(-2.0 + 2e-5),
+                0.49999500000000002276, 0.9428113880960456801, 0.30679678850401856834,
+            ),
+            (
+                lebesgue(),
+                affine(-2.0 + 2e-12),
+                0.49999999999950001106, 0.94280904158229898408, 0.30685281942639446991,
+            ),
+            (lebesgue(), affine(-2.0), 0.5, 0.94280904158206336587, 0.30685281944005469058),
+            (lebesgue(), affine(1.0), 0.25, 0.98904261099607320763, 0.045228747557780772324),
+            (
+                lebesgue(),
+                MeasureSpec(pieces=((0.0, 0.5, 1.5, 0.0), (0.5, 1.0, 0.5, 0.0))),
+                0.5, 0.96592582628906828675, 0.14384103622589046372,
+            ),
+            (
+                affine(1.0),
+                MeasureSpec(pieces=((0.0, 0.5, 1.0, 2.0), (0.5, 1.0, 0.5, 0.0))),
+                0.75, 0.92495096888331760713, 0.31693504176167125708,
+            ),
+            (
+                affine(2.0),
+                MeasureSpec(pieces=((0.0, 0.5, 0.0, 4.0), (0.5, 1.0, 1.0, 0.0))),
+                0.5, 0.96302909884200379473, 0.14486038541995898206,
+            ),
+            (
+                TINY_SLOPE,
+                affine(1.5),
+                0.37499999999975, 0.97334773208070698602, 0.11606585388854756564,
+            ),
+            (
+                affine(1.5),
+                TINY_SLOPE,
+                0.37499999999975, 0.97334773208070698602, 0.10015558270728342458,
+            ),
+        ],
+        ids=[
+            "runaway-pair",
+            "near-root-1e-5",
+            "near-root-1e-12",
+            "near-root-0",
+            "one-slope-zero",
+            "both-slopes-zero",
+            "proportional",
+            "proportional-common-root",
+            "slope-1e-12-in-p",
+            "slope-1e-12-in-q",
+        ],
+    )
+    def test_closed_form_values(self, p, q, tv, aff, kl):
+        rep = divergences(p, q)
+        assert abs(rep.tv - tv) <= 1e-14
+        assert abs(rep.hellinger_affinity - aff) <= 1e-14
+        assert abs(rep.kl - kl) <= 1e-14
+        assert rep.bhattacharyya == 0.0 - math.log(rep.hellinger_affinity)
+
     def test_atom_missing_in_q_gives_infinite_kl(self):
         mix = MeasureSpec(pieces=((0.0, 1.0, 0.9, 0.0),), atoms=((0.5, 0.1),))
         assert math.isinf(divergences(mix, lebesgue()).kl)
@@ -85,18 +228,13 @@ class TestReportInvariants:
         rep = divergences(lebesgue(), tilt(1e-3))
         assert rep.tv > 0.0 and rep.kl > 0.0
 
-    def test_order_doubling_stable(self, rng):
-        for _ in range(25):
-            p = random_measure(rng, allow_atoms=False)
-            q = random_measure(rng, allow_atoms=False)
-            r20 = divergences(p, q, order=20)
-            r40 = divergences(p, q, order=40)
-            for f in ("tv", "kl", "hellinger_affinity", "bhattacharyya"):
-                a, b = getattr(r20, f), getattr(r40, f)
-                if math.isinf(a) or math.isinf(b):
-                    assert a == b
-                else:
-                    assert abs(a - b) <= 1e-9
+    def test_matches_quadrature_reference(self, rng):
+        # criterion 8's pairs, then the fixture's
+        crit8 = np.random.default_rng(88)
+        for _ in range(1000):
+            assert_matches_reference(random_measure(crit8), random_measure(crit8))
+        for _ in range(300):
+            assert_matches_reference(random_measure(rng), random_measure(rng))
 
 
 class TestAbsoluteContinuity:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from scipy import stats
 
 import jurylab
+from jurylab import weights
 from jurylab.measure import MeasureSpec, affine, dirac, lebesgue, moment, sample
 from jurylab.streams import generator
 from jurylab.weights import (
@@ -237,6 +239,18 @@ class TestDrift:
         assert drift(DOWN, T43, order=64) == pytest.approx(
             drift(DOWN, T43, order=128), abs=1e-9
         )
+
+    def test_converged_quadrature_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            drift(DOWN, T43)
+
+    def test_unconverged_piece_warns(self, monkeypatch):
+        monkeypatch.setattr(weights, "integrate", lambda *args, **kwargs: (0.0, False))
+        with pytest.warns(RuntimeWarning, match=r"piece \[0\.0, 1\.0\]"):
+            value = drift(DOWN, T43)
+        base = 2.0 * moment(DOWN, 1) - 1.0 + (T43.W - 1.0) * moment_criterion(DOWN, T43.k)
+        assert value == base
 
     def test_atoms_integrated_exactly(self):
         coin = MeasureSpec(atoms=((0.0, 0.5), (1.0, 0.5)))
