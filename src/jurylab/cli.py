@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -195,7 +194,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     doc = json.loads(Path(args.config).read_text())
     doc.setdefault("seed", args.seed)
     config = exp.config_from_dict(doc)
-    report = exp.run(config, threads=args.threads)
+    report = exp.run(config)
     csv_text = exp.report_to_csv(report)
     json_text = exp.report_to_json(report)
     if args.out_dir:
@@ -235,7 +234,7 @@ def _scenario_theorem_3_2(args) -> None:
         measure=lebesgue(), scheme=wts.UnitWeights(), n_grid=(101, 1001, 10001),
         profiles_per_n=200, seed=args.seed,
     )
-    report = exp.run(config, threads=args.threads)
+    report = exp.run(config)
     _print_report(report)
 
 
@@ -244,7 +243,7 @@ def _scenario_theorem_3_7(args) -> None:
         measure=affine(1.0), scheme=wts.UnitWeights(), n_grid=(101, 1001, 10001),
         profiles_per_n=100, seed=args.seed, high=0.999, low=0.001,
     )
-    _print_report(exp.run(config, threads=args.threads))
+    _print_report(exp.run(config))
 
 
 def _scenario_anti_cjp(args) -> None:
@@ -252,7 +251,7 @@ def _scenario_anti_cjp(args) -> None:
         measure=affine(-1.0), scheme=wts.UnitWeights(), n_grid=(101, 1001, 10001),
         profiles_per_n=100, seed=args.seed, high=0.999, low=0.001,
     )
-    _print_report(exp.run(config, threads=args.threads))
+    _print_report(exp.run(config))
 
 
 def _scenario_theorem_4_3(args) -> None:
@@ -322,11 +321,6 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="jurylab", description=__doc__)
     parser.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-    parser.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("JURYLAB_THREADS", "1")),
-        help="worker cap for parallel kernels (env JURYLAB_THREADS)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tally", help="win probability for a profile")

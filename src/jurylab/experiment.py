@@ -17,7 +17,6 @@ import csv
 import hashlib
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,12 +130,9 @@ def _profile_outcome(
         method = "degenerate"
     else:
         mode = config.tally_mode
-        if mode in ("auto", "brute") and n > MAX_BRUTE_N:
-            if mode == "brute":
-                warning = f"n={n}: brute force infeasible, rerouted to monte carlo"
+        if mode == "brute" and n > MAX_BRUTE_N:
+            warning = f"n={n}: brute force infeasible, rerouted to monte carlo"
             mode = "mc"
-        elif mode == "auto":
-            mode = "brute"
         est = weighted_majority_prob(
             profile, w, mode=mode, replicas=config.replicas,
             seed=streams.stream_key(config.seed, _WEIGHT_TAG, n, j, 1),
@@ -147,18 +143,13 @@ def _profile_outcome(
     return win, q, drift, method, warning
 
 
-def run(config: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Evaluate the config; deterministic for a given seed regardless of
-    the worker count (profiles own independent substreams)."""
+def run(config: ExperimentConfig) -> ExperimentReport:
+    """Evaluate the config; deterministic for a given seed (profiles own
+    independent substreams)."""
     rows = []
     warnings: list[str] = []
     for n in config.n_grid:
-        jobs = range(config.profiles_per_n)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(lambda j: _profile_outcome(config, n, j), jobs))
-        else:
-            outcomes = [_profile_outcome(config, n, j) for j in jobs]
+        outcomes = [_profile_outcome(config, n, j) for j in range(config.profiles_per_n)]
         wins = np.array([o[0] for o in outcomes])
         qs = np.array([o[1] for o in outcomes])
         drifts = np.array([o[2] for o in outcomes])

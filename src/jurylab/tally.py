@@ -15,14 +15,18 @@ lies in [0, 1] with no clamp.
 Weighted majority uses the signed formulation X_i in {-1,+1} and
 P(sum w_i X_i > 0); ties (sum exactly 0) count as a loss, which makes
 every reported value a lower bound on the rule's competence.  Exact
-enumeration covers n <= 25; beyond that a seeded Monte Carlo runs one
-substream per replica.  It works on blocks of about 2^16 draws, which
-stay in cache: each block is a (replicas, n) array of 53-bit integer
-draws, filled in place by `streams.bits_block`, and voter i is correct
-where its draw is below ceil(p_i * 2^53).  That integer test is exactly
-the test u < p_i on the draw's uniform u = draw * 2^-53, so which voters
-are correct does not depend on the block size.  The win frequency gets a 95% interval:
-Wald for interior counts, and the exact Clopper-Pearson width when every
+enumeration covers n <= 31 by meet-in-the-middle (Horowitz & Sahni
+1974): each half of the voters lists its 2^(n/2) scores and
+probabilities, one half is sorted, and each outcome of the other half
+finds the mass that beats or ties it by binary search over suffix sums.
+Beyond n = 31 a seeded Monte Carlo runs one substream per replica.  It
+works on blocks of about 2^16 draws, which stay in cache: each block is
+a (replicas, n) array of 53-bit integer draws, filled in place by
+`streams.bits_block`, and voter i is correct where its draw is below
+ceil(p_i * 2^53).  That integer test is exactly the test u < p_i on the
+draw's uniform u = draw * 2^-53, so which voters are correct does not
+depend on the block size.  The win frequency gets a 95% interval: Wald
+for interior counts, and the exact Clopper-Pearson width when every
 replica or none wins, so no interval has zero width.
 """
 
@@ -49,9 +53,8 @@ __all__ = [
 ]
 
 MAX_EXACT_N = 200_001
-MAX_BRUTE_N = 25
+MAX_BRUTE_N = 31
 _REPLICA_TAG = 0x4D43
-_BRUTE_CHUNK = 1 << 20
 # entries per Monte Carlo block: the draws and their comparisons stay in cache
 _MC_BLOCK = 1 << 16
 # product-tree leaf size and the band trim threshold of the exact tally
@@ -143,21 +146,35 @@ def anti_majority_prob_exact(profile: Profile) -> TallyEstimate:
     return majority_prob_exact(flipped)
 
 
+def _half_sums(ps: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score sum_i w_i x_i and probability of each of the 2^len(ps) outcomes."""
+    score = np.zeros(1)
+    prob = np.ones(1)
+    for p, wi in zip(ps, w):
+        score = np.concatenate((score - wi, score + wi))
+        prob = np.concatenate((prob * (1.0 - p), prob * p))
+    return score, prob
+
+
 def _brute_force_weighted(ps: np.ndarray, w: np.ndarray) -> TallyEstimate:
-    n = len(ps)
-    win = 0.0
-    tie = 0.0
-    for start in range(0, 1 << n, _BRUTE_CHUNK):
-        idx = np.arange(start, min(start + _BRUTE_CHUNK, 1 << n), dtype=np.uint64)
-        prob = np.ones(len(idx))
-        score = np.zeros(len(idx))
-        for i in range(n):
-            bit = (idx >> np.uint64(i)) & np.uint64(1)
-            correct = bit == 1
-            prob *= np.where(correct, ps[i], 1.0 - ps[i])
-            score += np.where(correct, w[i], -w[i])
-        win += float(prob[score > 0.0].sum())
-        tie += float(prob[score == 0.0].sum())
+    """Exact win and tie mass by meet-in-the-middle over the two halves.
+
+    An outcome is a pair (a, b) of half-outcomes; it wins when
+    s_b > -s_a, which holds exactly when fl(s_a + s_b) > 0, and ties
+    when s_b == -s_a.  With half B sorted by score, the mass of b above
+    -s_a is a suffix sum found by binary search.
+    """
+    h = len(ps) // 2
+    sa, pa = _half_sums(ps[:h], w[:h])
+    sb, pb = _half_sums(ps[h:], w[h:])
+    order = np.argsort(sb, kind="stable")
+    sb = sb[order]
+    # tail[k] is the mass of the sorted scores from position k on; tail[-1] = 0
+    tail = np.append(np.cumsum(pb[order][::-1])[::-1], 0.0)
+    above = tail[np.searchsorted(sb, -sa, side="right")]
+    at_least = tail[np.searchsorted(sb, -sa, side="left")]
+    win = float(pa @ above)
+    tie = float(pa @ (at_least - above))
     return TallyEstimate(value=win, method="brute_force", tie_prob=tie)
 
 

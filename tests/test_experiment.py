@@ -15,6 +15,7 @@ from jurylab.experiment import (
     run,
 )
 from jurylab.measure import affine, lebesgue
+from jurylab.tally import MAX_BRUTE_N
 from jurylab.weights import LogOdds, StochasticPoly, UnitWeights, drift
 
 
@@ -75,10 +76,9 @@ class TestRun:
         # swap is exact despite independent sampling
         assert pos.rows[-1].frac_high == neg.rows[-1].frac_low
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         cfg = small_config(n_grid=(101, 301), profiles_per_n=16)
         assert run(cfg) == run(cfg)
-        assert run(cfg) == run(cfg, threads=4)
 
     def test_stochastic_scheme_drift_consistency(self):
         spec = affine(-2.0)
@@ -105,6 +105,16 @@ class TestRun:
         cfg = small_config(scheme=LogOdds(), n_grid=(11,), profiles_per_n=10)
         report = run(cfg)
         assert report.rows[0].method == "brute_force"
+
+    def test_auto_resolved_at_the_enumeration_cap(self):
+        # auto enumerates up to MAX_BRUTE_N and samples beyond it, silently
+        cfg = small_config(
+            scheme=LogOdds(), n_grid=(MAX_BRUTE_N, MAX_BRUTE_N + 2), profiles_per_n=10,
+            replicas=500,
+        )
+        report = run(cfg)
+        assert [r.method for r in report.rows] == ["brute_force", "monte_carlo"]
+        assert report.warnings == ()
 
 
 class TestClassifyTrend:

@@ -8,6 +8,7 @@ from jurylab import streams, tally
 from jurylab.measure import affine
 from jurylab.profile import ExplicitSource, IidSource, Profile, generate
 from jurylab.tally import (
+    MAX_BRUTE_N,
     MAX_EXACT_N,
     anti_majority_prob_exact,
     majority_prob_exact,
@@ -61,6 +62,44 @@ def full_pmf(ps) -> np.ndarray:
     live = band[: len(out) - offset]  # a single padded leaf is longer than n + 1
     out[offset : offset + len(live)] = live
     return out
+
+
+def reference_brute_weighted(ps, w) -> tuple[float, float]:
+    """Reference: (win, tie) from the 2^n bitmask loop over 2^20-outcome chunks."""
+    n = len(ps)
+    chunk = 1 << 20
+    win = 0.0
+    tie = 0.0
+    for start in range(0, 1 << n, chunk):
+        idx = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint64)
+        prob = np.ones(len(idx))
+        score = np.zeros(len(idx))
+        for i in range(n):
+            bit = (idx >> np.uint64(i)) & np.uint64(1)
+            correct = bit == 1
+            prob *= np.where(correct, ps[i], 1.0 - ps[i])
+            score += np.where(correct, w[i], -w[i])
+        win += float(prob[score > 0.0].sum())
+        tie += float(prob[score == 0.0].sum())
+    return win, tie
+
+
+def random_weights(rng, kind: str, ps) -> np.ndarray:
+    n = len(ps)
+    if kind == "real":
+        w = rng.uniform(0.1, 3.0, n)
+    elif kind == "expert":
+        w = (rng.random(n) < 0.5).astype(float)
+    elif kind == "integer":
+        w = rng.integers(1, 4, n).astype(float)
+    elif kind == "negative":
+        w = rng.normal(0.5, 1.0, n)
+    else:  # log-odds with some voters silenced
+        w = np.log(ps / (1.0 - ps))
+        w[rng.random(n) < 0.3] = 0.0
+    if not np.any(w != 0.0):
+        w[0] = 1.0
+    return w
 
 
 def reference_mc_value(ps, w, replicas, seed) -> float:
@@ -219,9 +258,9 @@ class TestWeightedMajority:
         assert est.value == pytest.approx(0.7, abs=1e-12)
 
     def test_brute_cap_and_replica_floor(self):
-        big = explicit([0.6] * 27)
+        n = MAX_BRUTE_N + 2
         with pytest.raises(ValueError, match="brute"):
-            weighted_majority_prob(big, [1.0] * 27, mode="brute")
+            weighted_majority_prob(explicit([0.6] * n), [1.0] * n, mode="brute")
         with pytest.raises(ValueError, match="replicas"):
             weighted_majority_prob(explicit(SG), [1] * 5, mode="mc", replicas=50)
 
@@ -262,6 +301,57 @@ class TestWeightedMajority:
         big = explicit([0.6] * 51)
         est = weighted_majority_prob(big, [1.0] * 51, mode="auto", replicas=2000, seed=1)
         assert est.method == "monte_carlo"
+
+
+class TestMeetInTheMiddle:
+    KINDS = ("real", "expert", "integer", "negative", "zeros")
+
+    @pytest.mark.parametrize("n", range(1, 26))
+    def test_matches_reference_loop(self, n):
+        # every weight kind up to n = 18; one kind each above, where the
+        # reference loop takes most of a second per call
+        kinds = self.KINDS if n <= 18 else self.KINDS[n % 5 : n % 5 + 1]
+        rng = np.random.default_rng(700 + n)
+        for kind in kinds:
+            ps = rng.uniform(0.02, 0.98, n)
+            w = random_weights(rng, kind, ps)
+            est = weighted_majority_prob(explicit(ps), w, mode="brute")
+            win, tie = reference_brute_weighted(ps, w)
+            assert est.method == "brute_force"
+            assert abs(est.value - win) <= 1e-14
+            assert abs(est.tie_prob - tie) <= 1e-14
+
+    def test_integer_weight_ties(self):
+        # integer sums are exact: the tie mass is that of the reference
+        # loop, and win + tie + loss (the mirrored win) adds up to one
+        rng = np.random.default_rng(21)
+        for n in (2, 5, 10, 17):
+            ps = rng.random(n)
+            # repeated weights (and a silent voter at odd n) can cancel out
+            half = rng.integers(-3, 4, n // 2).astype(float)
+            half[0] = 1.0
+            w = np.concatenate((half, half, np.zeros(n % 2)))
+            est = weighted_majority_prob(explicit(ps), w, mode="brute")
+            loss = weighted_majority_prob(explicit(ps), -w, mode="brute")
+            win, tie = reference_brute_weighted(ps, w)
+            assert est.value == pytest.approx(win, abs=1e-15)
+            assert est.tie_prob == pytest.approx(tie, abs=1e-15)
+            assert est.tie_prob > 0.0
+            assert est.tie_prob == pytest.approx(loss.tie_prob, abs=1e-15)
+            assert est.value + est.tie_prob + loss.value == pytest.approx(1.0, abs=1e-14)
+
+    def test_odd_unit_weights_never_tie(self):
+        rng = np.random.default_rng(22)
+        for n in range(1, 32, 2):
+            est = weighted_majority_prob(explicit(rng.random(n)), np.ones(n), mode="brute")
+            assert est.tie_prob == 0.0
+
+    def test_unit_weights_at_the_cap_match_exact_dp(self):
+        prof = explicit(np.random.default_rng(23).random(MAX_BRUTE_N))
+        est = weighted_majority_prob(prof, np.ones(MAX_BRUTE_N), mode="auto")
+        assert est.method == "brute_force"
+        assert est.tie_prob == 0.0
+        assert abs(est.value - majority_prob_exact(prof).value) <= 1e-14
 
 
 class TestMonteCarloKernel:
