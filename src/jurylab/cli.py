@@ -34,10 +34,7 @@ def _fmt(v: float) -> str:
 
 
 def _provenance(seed: int, **params) -> str:
-    import hashlib
-
-    digest = hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()[:16]
-    return f"# seed={seed} config_hash={digest}"
+    return f"# seed={seed} config_hash={exp.json_digest(params)}"
 
 
 def _load_measure(path: str) -> MeasureSpec:

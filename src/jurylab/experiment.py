@@ -46,6 +46,7 @@ __all__ = [
     "scheme_from_dict",
     "config_to_dict",
     "config_from_dict",
+    "json_digest",
     "report_to_csv",
     "report_to_json",
     "report_to_svg",
@@ -248,9 +249,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     )
 
 
+def json_digest(doc) -> str:
+    """First 16 hex digits of the SHA-256 of doc as key-sorted JSON."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def config_hash(config: ExperimentConfig) -> str:
-    payload = json.dumps(config_to_dict(config), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    return json_digest(config_to_dict(config))
 
 
 _ROW_FIELDS = ("n", "frac_high", "frac_low", "median_win", "mean_q", "drift_estimate", "method")

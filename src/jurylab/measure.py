@@ -5,7 +5,8 @@ density pieces rho(x) = c0 + c1*x on disjoint intervals, and a finite
 list of atoms.  This class is closed under everything the package
 needs (uniform and tilted-affine densities, point masses, mixtures) and
 keeps moments, interval masses and inverse-CDF sampling in closed form,
-so no quadrature error enters the core.
+so no quadrature error enters the core.  Quantiles of long inputs are
+inverted in fixed-size blocks, with the same values as one pass.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-12
+_BLOCK = 1 << 15  # values per quantile block: its temporaries fit in L2
 
 
 @dataclass(frozen=True)
@@ -197,12 +199,26 @@ def _segments(spec: MeasureSpec) -> tuple[np.ndarray, list[tuple]]:
 
 
 def quantile(spec: MeasureSpec, u: np.ndarray | float) -> np.ndarray | float:
-    """Generalized inverse CDF; exact per-piece quadratic inversion."""
+    """Generalized inverse CDF; exact per-piece quadratic inversion.
+
+    The input is validated once, then inverted _BLOCK values at a time
+    into one output array, so the inversion's temporaries stay in cache
+    however many values are asked for.  Each value's arithmetic does not
+    depend on the blocking.
+    """
     starts, segs = _segments(spec)
     us = np.atleast_1d(np.asarray(u, dtype=float))
-    if np.any((us < 0.0) | (us >= 1.0 + _MASS_TOL)):
+    if not np.all((us >= 0.0) & (us < 1.0 + _MASS_TOL)):  # also rejects NaN
         raise ValueError("quantile arguments must lie in [0, 1)")
-    out = np.empty_like(us)
+    flat = us.reshape(-1)
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, _BLOCK):
+        _invert_block(starts, segs, flat[lo : lo + _BLOCK], out[lo : lo + _BLOCK])
+    return out.reshape(us.shape) if np.ndim(u) else float(out[0])
+
+
+def _invert_block(starts: np.ndarray, segs: list[tuple], us: np.ndarray, out: np.ndarray) -> None:
+    """out = quantile at us, one CDF segment at a time."""
     idx = np.clip(np.searchsorted(starts, us, side="right") - 1, 0, len(segs) - 1)
     for k, seg in enumerate(segs):
         mask = idx == k
@@ -212,9 +228,7 @@ def quantile(spec: MeasureSpec, u: np.ndarray | float) -> np.ndarray | float:
             out[mask] = seg[1]
         else:
             _, a, b, c0, c1, _mass = seg
-            t = us[mask] - starts[k]
-            out[mask] = _invert_affine_cdf(a, b, c0, c1, t)
-    return out if np.ndim(u) else float(out[0])
+            out[mask] = _invert_affine_cdf(a, b, c0, c1, us[mask] - starts[k])
 
 
 def _invert_affine_cdf(a: float, b: float, c0: float, c1: float, t: np.ndarray) -> np.ndarray:

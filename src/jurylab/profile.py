@@ -256,7 +256,8 @@ def condition_report(
     Chebyshev bound) use the generated profile; the generalized traces
     use the per-index means, which are closed-form for the analytic
     families and measure moments for iid draws.  Chebyshev bounds are
-    NaN where the mean competence does not exceed 1/2.
+    NaN where the mean competence does not exceed 1/2.  Sums are formed
+    only at the checkpoints; the iid generalized sums are moment * k.
     """
     ks = np.asarray(list(checkpoints), dtype=int)
     if len(ks) == 0 or np.any(ks[1:] <= ks[:-1]):
@@ -264,45 +265,39 @@ def condition_report(
     if np.any(ks % 2 == 0) or ks[0] < 1:
         raise ValueError("checkpoints must be odd and positive")
     n = int(ks[-1])
-    profile = generate(source, n, seed)
-    p = profile.competences
-    cum_p = np.cumsum(p)
-    cum_pq = np.cumsum(p * (1.0 - p))
-    cum_ones = np.cumsum(p == 1.0)
+    p = generate(source, n, seed).competences
+    kf = ks.astype(float)
+    # prefix sums at the checkpoints only: cumsums of (pairwise) segment sums
+    bounds = np.concatenate(([0], ks[:-1]))
+    cum_p = np.cumsum(np.add.reduceat(p, bounds))
+    cum_pq = np.cumsum(np.add.reduceat(p * (1.0 - p), bounds))
+    cum_ones = np.cumsum(np.add.reduceat(p == 1.0, bounds))  # int64, exact
     if isinstance(source, IidSource):
         m1 = moment(source.measure, 1)
         m2 = moment(source.measure, 2)
         e1 = atom_mass(source.measure, 1.0)
-        mean_i = np.full(n, m1)
-        noconc_i = np.full(n, m1 - m2)
-        eps1_i = np.full(n, e1)
-        var_i = np.full(n, m2 - m1 * m1)
+        cum_mean = m1 * kf
+        cum_noconc = (m1 - m2) * kf
+        cum_eps1 = e1 * kf
+        cum_var = (m2 - m1 * m1) * kf
     else:
-        mean_i = p
-        noconc_i = p * (1.0 - p)
-        eps1_i = (p == 1.0).astype(float)
-        var_i = np.zeros(n)
-    cum_mean = np.cumsum(mean_i)
-    cum_noconc = np.cumsum(noconc_i)
-    cum_eps1 = np.cumsum(eps1_i)
-    cum_var = np.cumsum(var_i)
+        cum_mean, cum_noconc, cum_eps1 = cum_p, cum_pq, cum_ones
+        cum_var = np.zeros(len(ks))
 
-    idx = ks - 1
-    kf = ks.astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(cum_pq[idx] > 0.0, (cum_p[idx] - 0.5 * kf) / np.sqrt(cum_pq[idx]), np.nan)
-        drift = cum_p[idx] - 0.5 * kf
-        cheb = np.where(drift > 0.0, cum_pq[idx] / drift**2, np.nan)
+        q = np.where(cum_pq > 0.0, (cum_p - 0.5 * kf) / np.sqrt(cum_pq), np.nan)
+        drift = cum_p - 0.5 * kf
+        cheb = np.where(drift > 0.0, cum_pq / drift**2, np.nan)
     return ConditionReport(
         checkpoints=ks,
         q_trace=q,
-        s_trace=cum_ones[idx] - 0.5 * kf,
-        running_mean=cum_p[idx] / kf,
+        s_trace=cum_ones - 0.5 * kf,
+        running_mean=cum_p / kf,
         chebyshev_bounds=cheb,
-        gen_cent=(cum_mean[idx] - 0.5 * kf) / np.sqrt(kf),
-        gen_noconc=cum_noconc[idx] / kf,
-        gen_eps1=cum_eps1[idx] / kf,
-        sigma_t=np.sqrt(cum_var[idx]),
+        gen_cent=(cum_mean - 0.5 * kf) / np.sqrt(kf),
+        gen_noconc=cum_noconc / kf,
+        gen_eps1=cum_eps1 / kf,
+        sigma_t=np.sqrt(cum_var),
     )
 
 

@@ -3,11 +3,12 @@
 For the fair-coin measure (equal atoms at 0 and 1), the event that the
 perfectly-informed count stays strictly ahead of k/2 at every odd
 k <= 2m+1 has probability binom(2m+2, m+1) / 4^(m+1): a Catalan-path
-count.  That value is computed exactly, checked against brute-force
-enumeration for small m, and compared with its 1/sqrt(pi m) large-m
-asymptote.  The module also estimates symmetric-walk first-passage
-probabilities and the frequency with which an iid electorate contains
-a given fraction of (almost) perfectly informed voters.
+count.  That value is computed exactly, checked for small m against an
+enumeration that extends only the prefixes still in the lead, and
+compared with its 1/sqrt(pi m) large-m asymptote.  The module also
+estimates symmetric-walk first-passage probabilities and the frequency
+with which an iid electorate contains a given fraction of (almost)
+perfectly informed voters.
 """
 
 from __future__ import annotations
@@ -62,11 +63,11 @@ def catalan(n: int) -> int:
 
 
 def border_measure(m: int, enumerate_paths: bool = False) -> PathCount:
-    """binom(2(m+1), m+1) / 2^(2(m+1)) with optional brute-force check.
+    """binom(2(m+1), m+1) / 2^(2(m+1)) with an optional enumeration check.
 
-    Enumeration walks all 2^(2m+1) zero/one sequences and counts those
-    whose running ones-count exceeds k/2 at every odd k; it is capped at
-    m <= 12 to stay around a second.
+    Enumeration lists, one by one, the zero/one sequences of length
+    2m+1 whose running ones-count exceeds k/2 at every odd k, an
+    independent check of the closed form for m <= MAX_ENUM_M.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -79,23 +80,24 @@ def border_measure(m: int, enumerate_paths: bool = False) -> PathCount:
 
 
 def border_measure_enumerated(m: int) -> Fraction:
-    """Exact leading-count probability by full sequence enumeration."""
+    """Exact leading-count probability by enumerating the leading sequences.
+
+    The frontier holds one entry per zero/one prefix that has led at
+    every odd k so far: its count of ones.  Each step extends every
+    prefix by a 0 and by a 1, and at odd k drops the prefixes with
+    2 * ones <= k.  A dropped prefix has already failed the condition,
+    so no extension of it can lead throughout, and the entries left
+    after step 2m+1 are exactly the leading sequences, one each.
+    """
     if not 1 <= m <= MAX_ENUM_M:
         raise ValueError(f"enumeration capped at m <= {MAX_ENUM_M}")
     n = 2 * m + 1
-    total = 1 << n
-    count = 0
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        ones = np.zeros(len(idx), dtype=np.int32)
-        alive = np.ones(len(idx), dtype=bool)
-        for k in range(1, n + 1):
-            ones += ((idx >> np.uint64(k - 1)) & np.uint64(1)).astype(np.int32)
-            if k % 2 == 1:
-                alive &= 2 * ones > k
-        count += int(np.count_nonzero(alive))
-    return Fraction(count, total)
+    ones = np.zeros(1, dtype=np.int8)  # 2 * ones <= 2n <= 50 fits in int8
+    for k in range(1, n + 1):
+        ones = np.concatenate((ones, ones + 1))
+        if k % 2 == 1:
+            ones = ones[2 * ones > k]
+    return Fraction(len(ones), 1 << n)
 
 
 def stirling_asymptote(m: int) -> float:

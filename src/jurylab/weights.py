@@ -209,19 +209,13 @@ def f_function(x: float, p: np.ndarray | float) -> np.ndarray | float:
 
     Scaled so that (W-1) * f(x, p) is the conditional error mean of a
     zero-mean Gaussian with sigma = (W-1)/x truncated to
-    (-(W-1)p, (W-1)(1-p)).  Evaluated directly; for p in [0,1] the
-    truncation interval straddles zero, so the denominator never
-    suffers tail cancellation and the value is NaN-free.
+    (-(W-1)p, (W-1)(1-p)): the standard truncated mean on
+    (-px, (1-p)x), divided by x.
     """
     if not x > 0.0:
         raise ValueError("x must be positive")
     arr = np.asarray(p, dtype=float)
-    lo = -arr * x
-    hi = (1.0 - arr) * x
-    num = _phi(hi) - _phi(lo)
-    den = x * (special.ndtr(lo) - special.ndtr(hi))
-    small = np.abs(den) < 1e-300
-    out = np.where(small, 0.5 * (lo + hi) / x, num / np.where(small, 1.0, den))
+    out = _std_truncnorm_mean(-arr * x, (1.0 - arr) * x) / x
     return out if np.ndim(p) else float(out)
 
 

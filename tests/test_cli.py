@@ -93,6 +93,19 @@ class TestConditions:
         assert lines[1].startswith("checkpoint,q,")
         assert len(lines) == 4
 
+    def test_header_hash_pinned(self, tmp_path):
+        # recorded before the provenance hash moved to experiment.json_digest
+        for argv, header in (
+            (["conditions", "--source", "condorcet", "--eps", "0.1", "--checkpoints", "11,101"],
+             "# seed=0 config_hash=46b31a9215fe99ea"),
+            (["--seed", "3", "conditions", "--source", "c2", "--prefix", "1,0",
+              "--checkpoints", "11,101"],
+             "# seed=3 config_hash=5e46300c5978f36a"),
+        ):
+            out = tmp_path / "cond.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            assert out.read_text().splitlines()[0] == header
+
     def test_bad_checkpoints_exit_one(self, capsys):
         assert main(["conditions", "--source", "condorcet", "--checkpoints", "4,8"]) == 1
 

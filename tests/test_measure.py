@@ -17,11 +17,37 @@ from jurylab.measure import (
     sample,
     to_json,
 )
+from jurylab.measure import _BLOCK, _invert_affine_cdf, _segments
 from jurylab.streams import generator
 
 from conftest import random_measure
 
 COIN = MeasureSpec(atoms=((0.0, 0.5), (1.0, 0.5)), label="coin")
+# three pieces (one flat), a gap, and atoms at 0, inside the gap and at 1
+MULTI = MeasureSpec(
+    pieces=((0.0, 0.2, 0.5, 1.0), (0.2, 0.5, 0.8, -0.4), (0.6, 1.0, 0.65, 0.0)),
+    atoms=((0.0, 0.1), (0.55, 0.2), (1.0, 0.122)),
+    label="multi",
+)
+
+
+def reference_quantile(spec: MeasureSpec, u: np.ndarray) -> np.ndarray:
+    """The original unblocked inversion: every segment masks the whole input."""
+    starts, segs = _segments(spec)
+    us = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.empty_like(us)
+    idx = np.clip(np.searchsorted(starts, us, side="right") - 1, 0, len(segs) - 1)
+    for k, seg in enumerate(segs):
+        mask = idx == k
+        if not np.any(mask):
+            continue
+        if seg[0] == "atom":
+            out[mask] = seg[1]
+        else:
+            _, a, b, c0, c1, _mass = seg
+            t = us[mask] - starts[k]
+            out[mask] = _invert_affine_cdf(a, b, c0, c1, t)
+    return out
 
 
 class TestConstruction:
@@ -131,6 +157,39 @@ class TestSampling:
             spec = random_measure(rng, allow_atoms=False)
             x = quantile(spec, u)
             assert np.max(np.abs(cdf(spec, x) - u)) < 1e-9
+
+    @pytest.mark.parametrize("length", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("spec", [MULTI, COIN, lebesgue(), affine(-2.0), dirac(0.3)])
+    def test_blocked_matches_reference_bitwise(self, spec, length):
+        starts, _ = _segments(spec)
+        edges = np.concatenate((starts, [0.0, 1.0 - 2.0**-53, 1.0]))
+        u = generator(length).random(length)
+        u[: min(length, len(edges))] = edges[:length]
+        u = generator(length + 1).permutation(u)
+        got = quantile(spec, u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, reference_quantile(spec, u))
+
+    def test_shape_and_scalar_kept(self):
+        u = generator(3).random((3, _BLOCK + 5))
+        got = quantile(MULTI, u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, reference_quantile(MULTI, u.ravel()).reshape(u.shape))
+        x = quantile(MULTI, 0.7)
+        assert type(x) is float
+        assert x == reference_quantile(MULTI, np.array([0.7]))[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, np.inf, -np.inf, 1.0 + 1e-11])
+    def test_out_of_range_or_nan_rejected(self, bad):
+        with pytest.raises(ValueError):
+            quantile(lebesgue(), bad)
+        spec = MeasureSpec(pieces=((0.0, 0.5, 1.0, 0.0),), atoms=((0.9, 0.5),))
+        with pytest.raises(ValueError):
+            quantile(spec, [bad, 0.7])
+        u = np.full(2 * _BLOCK, 0.25)
+        u[-1] = bad
+        with pytest.raises(ValueError):
+            quantile(spec, u)
 
     def test_atom_frequency(self):
         mix = MeasureSpec(

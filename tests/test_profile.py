@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from jurylab.measure import MeasureSpec, lebesgue
+from jurylab.measure import MeasureSpec, atom_mass, lebesgue, moment
 from jurylab.profile import (
     C1Source,
     C2Source,
@@ -21,6 +22,19 @@ from jurylab.profile import (
 )
 
 COIN = MeasureSpec(atoms=((0.0, 0.5), (1.0, 0.5)), label="coin")
+# density 0.5 + 0.6x plus an atom at 1, so some voters are perfectly informed
+TILTED_ATOM = MeasureSpec(pieces=((0.0, 1.0, 0.5, 0.6),), atoms=((1.0, 0.2),), label="tilted+atom")
+U = 2.0**-53
+
+
+def fsum_prefix(values: np.ndarray, ks) -> np.ndarray:
+    """math.fsum prefix sums of values at the checkpoints ks."""
+    parts, out, start = [], [], 0
+    for k in ks:
+        parts.append(math.fsum(values[start:k].tolist()))
+        out.append(math.fsum(parts))
+        start = k
+    return np.asarray(out)
 
 
 def explicit(values) -> Profile:
@@ -149,6 +163,54 @@ class TestConditionReport:
         # Chebyshev bound decays below 1e-3 by 1e5
         assert np.all(np.diff(rep.chebyshev_bounds) < 0.0)
         assert rep.chebyshev_bounds[-1] < 1e-3
+
+    @pytest.mark.parametrize("source", [IidSource(TILTED_ATOM), C1Source(-0.25)])
+    def test_traces_within_running_sum_bound_of_fsum(self, source):
+        ks = geometric_checkpoints(1, 200_001)
+        rep = condition_report(source, ks, seed=9)
+        p = generate(source, ks[-1], seed=9).competences
+        k = np.asarray(ks, dtype=float)
+        s = fsum_prefix(p, ks)
+        v = fsum_prefix(p * (1.0 - p), ks)
+        d = s - 0.5 * k
+        # a running float sum over k terms is within k*u of its total;
+        # the 4u covers the final roundings of each trace
+        tol = (2.0 * k + 4.0) * U
+        spread = v > 0.0
+        q = d[spread] / np.sqrt(v[spread])
+        q_tol = tol[spread] * (s[spread] / np.sqrt(v[spread]) + np.abs(q))
+        assert np.all(np.abs(rep.q_trace[spread] - q) <= q_tol)
+        assert np.all(np.isnan(rep.q_trace[~spread]))
+        assert np.all(np.abs(rep.running_mean - s / k) <= tol * s / k)
+        lead = d > 0.0
+        cheb = v[lead] / d[lead] ** 2
+        assert np.all(
+            np.abs(rep.chebyshev_bounds[lead] - cheb) <= tol[lead] * cheb * (1.0 + 2.0 * s[lead] / d[lead])
+        )
+        assert np.all(np.isnan(rep.chebyshev_bounds[~lead]))
+        ones = np.cumsum(p == 1.0)[np.asarray(ks) - 1]
+        assert np.array_equal(rep.s_trace, ones - 0.5 * k)
+        if isinstance(source, C1Source):  # per-index means are the competences
+            assert np.all(np.abs(rep.gen_cent - d / np.sqrt(k)) <= tol * (s + np.abs(d)) / np.sqrt(k))
+            assert np.all(np.abs(rep.gen_noconc - v / k) <= tol * v / k)
+            assert np.array_equal(rep.gen_eps1, ones / k)
+            assert np.all(rep.sigma_t == 0.0)
+
+    def test_iid_generalized_traces_closed_form(self):
+        ks = geometric_checkpoints(1, 200_001)
+        rep = condition_report(IidSource(TILTED_ATOM), ks, seed=9)
+        m1, m2 = moment(TILTED_ATOM, 1), moment(TILTED_ATOM, 2)
+        e1 = atom_mass(TILTED_ATOM, 1.0)
+        assert e1 == 0.2
+        for i, k in enumerate(ks):
+            exact = {
+                "gen_cent": float(Fraction(m1) * k - Fraction(k, 2)) / math.sqrt(k),
+                "gen_noconc": float(Fraction(m1) - Fraction(m2)),
+                "gen_eps1": e1,
+                "sigma_t": math.sqrt(float((Fraction(m2) - Fraction(m1) ** 2) * k)),
+            }
+            for field, value in exact.items():
+                assert getattr(rep, field)[i] == pytest.approx(value, rel=1e-15, abs=0.0), (field, k)
 
     def test_chebyshev_not_applicable_marked_nan(self):
         rep = condition_report(ExplicitSource((0.2, 0.3, 0.4)), (1, 3))

@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from jurylab.measure import affine, dirac, lebesgue
 from jurylab.walk import (
+    MAX_ENUM_M,
     border_measure,
     border_measure_enumerated,
     catalan,
@@ -20,6 +22,25 @@ def catalan_by_recurrence(n: int) -> int:
     for m in range(n):
         c.append(sum(c[i] * c[m - i] for i in range(m + 1)))
     return c[n]
+
+
+def reference_border_enumerated(m: int) -> Fraction:
+    """The original full enumeration: all 2^(2m+1) sequences in chunks of
+    2^20, each tested bit by bit at every odd k."""
+    n = 2 * m + 1
+    total = 1 << n
+    count = 0
+    chunk = 1 << 20
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        ones = np.zeros(len(idx), dtype=np.int32)
+        alive = np.ones(len(idx), dtype=bool)
+        for k in range(1, n + 1):
+            ones += ((idx >> np.uint64(k - 1)) & np.uint64(1)).astype(np.int32)
+            if k % 2 == 1:
+                alive &= 2 * ones > k
+        count += int(np.count_nonzero(alive))
+    return Fraction(count, total)
 
 
 class TestCatalan:
@@ -57,6 +78,14 @@ class TestBorderMeasure:
         for m in range(1, 11):
             pc = border_measure(m, enumerate_paths=True)
             assert pc.enumerated == pc.closed_form  # exact rational equality
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_enumeration_matches_full_enumeration(self, m):
+        assert border_measure_enumerated(m) == reference_border_enumerated(m)
+
+    def test_enumeration_at_cap(self):
+        pc = border_measure(MAX_ENUM_M, enumerate_paths=True)
+        assert pc.enumerated == pc.closed_form
 
     def test_enumeration_cap(self):
         with pytest.raises(ValueError):
