@@ -10,7 +10,8 @@ depend on scheduling or worker count.
 Draw i of the stream with key k is the 53-bit integer
 mix(k + i * gamma) >> 11, and its uniform is that integer times 2^-53.
 Arrays are mixed in place, _BLOCK entries at a time, so the working set
-of a mixing pass stays in cache however large the request.
+of a mixing pass stays in cache however large the request; `uniforms`
+converts each block into its float output from one reused integer block.
 """
 
 from __future__ import annotations
@@ -77,8 +78,12 @@ def uniforms(seed: int, path: tuple[int, ...], count: int, start: int = 0) -> np
     (seed, path), independent of how draws are batched.
     """
     keys = np.array([stream_key(seed, *path)], dtype=np.uint64)
-    bits = _fill_bits(np.empty((1, count), dtype=np.uint64), keys, start)
-    return bits[0] * 2.0**-53
+    out = np.empty(count)
+    bits = np.empty((1, min(count, _BLOCK)), dtype=np.uint64)
+    for lo in range(0, count, _BLOCK):
+        block = _fill_bits(bits[:, : min(_BLOCK, count - lo)], keys, start + lo)
+        np.multiply(block[0], 2.0**-53, out=out[lo : lo + block.shape[1]])
+    return out
 
 
 def bits_block(

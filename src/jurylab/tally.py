@@ -1,11 +1,17 @@
 """Win probabilities for majority and weighted-majority rules.
 
 Simple majority over odd n uses the exact Poisson-binomial upper tail
-P(sum X_i > n/2), X_i in {0,1}.  The PMF comes from a product tree: the
-voters are split into leaves of 32, whose PMFs are one batched DP
-recurrence, and the leaves are combined pairwise by direct convolution.
-Every term is non-negative, so each entry keeps the DP's relative
-accuracy.  After each combine, entries below 1e-300 are cut from both
+P(sum X_i > n/2), X_i in {0,1}.  The PMF comes from a product tree whose
+leaves hold 32 voters, or the next power of two at or above a smaller n,
+padded with p = 0 voters, whose PMF [1, 0] is neutral.  The leaf PMFs
+come from batched doubling: each voter starts as the column [1 - p, p],
+and each of at most five levels convolves every adjacent pair of
+columns at once, forming all their outer products in one array and
+summing its anti-diagonals with one matmul against a 0/1 selector.  The
+leaves are then combined pairwise by direct convolution.  Every term is
+a sum of non-negative products, and the selector multiplies only by an
+exact 1.0 or 0.0, so each entry keeps the DP's relative accuracy.
+After each combine, entries below 1e-300 are cut from both
 ends of the band and their mass is added to a running `trimmed_mass`;
 convolving with probability vectors cannot grow an L1 error, so that
 sum bounds the error from trimming.  The smaller tail is summed with
@@ -62,6 +68,21 @@ _LEAF = 32
 _TRIM = 1e-300
 
 
+def _anti_diagonal(width: int) -> np.ndarray:
+    """0/1 matrix taking the row-major flattened width-by-width outer
+    product of two PMFs to their convolution: entry (i + j, i * width + j)
+    is 1."""
+    k = np.arange(width * width)
+    sel = np.zeros((2 * width - 1, width * width))
+    sel[k // width + k % width, k] = 1.0
+    sel.flags.writeable = False
+    return sel
+
+
+# the leaf stage's selectors by PMF length: 2, 3, 5, 9, 17 for _LEAF = 32
+_SELECTORS = {(1 << k) + 1: _anti_diagonal((1 << k) + 1) for k in range(_LEAF.bit_length() - 1)}
+
+
 @dataclass(frozen=True)
 class TallyEstimate:
     value: float
@@ -86,26 +107,36 @@ def poisson_binomial_pmf(ps: np.ndarray) -> tuple[int, np.ndarray, float]:
 
     band[i] is P(sum = offset + i) and every entry outside the band is
     taken as 0; trimmed_mass, the mass cut over all combines, bounds the
-    L1 distance to the untrimmed PMF.  Leaves of _LEAF voters (padded
-    with p = 0) run the DP as one 2-D recurrence; the leaf PMFs are then
-    convolved pairwise, level by level, and each product is cut to the
-    entries at or above _TRIM.
+    L1 distance to the untrimmed PMF.  The voters, padded with p = 0,
+    fill leaves of min(_LEAF, next power of two >= n) voters, whose PMFs
+    take log2 of that many doubling levels, each one elementwise product
+    and one matmul over all leaves; leaves are never trimmed.  The leaf
+    PMFs are then convolved pairwise, level by level, and each product
+    is cut to the entries at or above _TRIM.
     """
-    n = len(ps)
-    n_leaves = max(1, -(-n // _LEAF))
-    padded = np.zeros(n_leaves * _LEAF)
-    padded[:n] = ps
-    # p_cols[k] is the column of every leaf's k-th p, shaped to broadcast
-    p_cols = padded.reshape(n_leaves, _LEAF).T[:, :, None].copy()
-    q_cols = 1.0 - p_cols
-    pmf = np.zeros((n_leaves, _LEAF + 1))
-    pmf[:, 0] = 1.0
-    # a lone leaf stops at n: its padding steps would multiply by 1 and add 0
-    for k in range(min(n, _LEAF)):
-        up = pmf[:, : k + 1] * p_cols[k]
-        pmf[:, : k + 1] *= q_cols[k]
-        pmf[:, 1 : k + 2] += up
-    nodes = [(0, row) for row in pmf]
+    n = max(len(ps), 1)
+    leaf = min(_LEAF, 1 << (n - 1).bit_length())
+    n_leaves = -(-n // leaf)
+    # column v is voter v's PMF [1 - p, p]; padding columns [1, 0] are neutral
+    cols = np.zeros((2, n_leaves * leaf))
+    cols[1, : len(ps)] = ps
+    cols[0] = 1.0 - cols[1]
+    # each level convolves the columns pairwise: one product array holds
+    # every pair's outer product, and one 0/1 matmul sums its anti-diagonals.
+    # Every level's products fit in the last level's buffer and its result
+    # fits where its input was: two allocations per call, not two per level,
+    # which spares the page faults of fresh arrays at large n.
+    flat, work = cols.reshape(-1), np.empty((leaf // 2 + 1) ** 2 * n_leaves)
+    while cols.shape[1] > n_leaves:
+        width, m = len(cols), cols.shape[1] // 2
+        outer = work[: width * width * m].reshape(width, width, m)
+        np.multiply(cols[:, None, 0::2], cols[None, :, 1::2], out=outer)
+        cols = np.matmul(
+            _SELECTORS[width],
+            outer.reshape(width * width, m),
+            out=flat[: (2 * width - 1) * m].reshape(2 * width - 1, m),
+        )
+    nodes = [(0, leaf_pmf) for leaf_pmf in np.ascontiguousarray(cols.T)]
     trimmed = 0.0
     while len(nodes) > 1:
         paired = []
@@ -132,7 +163,7 @@ def majority_prob_exact(profile: Profile) -> TallyEstimate:
     split = max((profile.n + 1) // 2 - offset, 0)
     lower, upper = band[:split], band[split:]
     # fsum the smaller tail; the larger one is its complement
-    if np.sum(upper) <= np.sum(lower):
+    if upper.sum() <= lower.sum():
         value = math.fsum(upper.tolist())
     else:
         value = 1.0 - math.fsum(lower.tolist())

@@ -37,7 +37,7 @@ __all__ = [
 MAX_ENUM_M = 12
 _WALK_TAG = 0x57A1
 _MOA_TAG = 0x40A0
-_STEP_BLOCK = 512  # keeps replica-by-step blocks around 40 MB at 1e4 replicas
+_STEP_BLOCK = 512  # 12 bytes of buffers per replica and step: 61 MB at 1e4 replicas
 
 
 @dataclass(frozen=True)
@@ -129,16 +129,28 @@ def random_walk_return(
     # active set can be compacted without disturbing any draws
     active = np.arange(replicas)
     position = np.zeros(replicas, dtype=np.int32)
+    # one draw buffer and one step buffer, reused by every block
+    width = min(_STEP_BLOCK, horizon)
+    bits_buf = np.empty(replicas * width, dtype=np.uint64)
+    steps_buf = np.empty(replicas * width, dtype=np.int32)
     done = 0
     while done < horizon and len(active):
         take = min(_STEP_BLOCK, horizon - done)
-        bits = streams.bits_block(seed, (_WALK_TAG,), active, take, col_start=done)
-        steps = np.where(bits < 2**52, -1, 1).astype(np.int32)  # the uniform < 1/2
-        partial = np.cumsum(steps, axis=1) + position[:, None]
-        hit_now = partial.max(axis=1) >= level
+        shape = (len(active), take)
+        size = shape[0] * take
+        bits = streams.bits_block(
+            seed, (_WALK_TAG,), active, take, col_start=done, out=bits_buf[:size].reshape(shape)
+        )
+        # the uniform >= 1/2 steps up: 1 or 0, mapped to +1 or -1, then
+        # summed in place into the walk's offsets from `position`
+        partial = np.greater_equal(bits, 2**52, out=steps_buf[:size].reshape(shape))
+        partial *= 2
+        partial -= 1
+        np.cumsum(partial, axis=1, out=partial)
+        hit_now = partial.max(axis=1) + position >= level
         hits[active[hit_now]] = True
         active = active[~hit_now]
-        position = partial[~hit_now, -1]
+        position = position[~hit_now] + partial[~hit_now, -1]
         done += take
     return monte_carlo_estimate(int(np.count_nonzero(hits)), replicas)
 

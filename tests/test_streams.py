@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jurylab.streams import bits_block, stream_key, uniforms, uniforms_block
+from jurylab.streams import _BLOCK, _fill_bits, bits_block, stream_key, uniforms, uniforms_block
 
 # Values recorded from the original allocating implementation; any change
 # here re-seeds every stochastic output in the package.
@@ -38,7 +38,21 @@ class TestPinnedValues:
         assert uniforms_block(5, (0x57A1,), rows, 3, col_start=2**62 - 1).tolist() == BLOCK
 
 
+def one_shot_uniforms(seed, path, count, start):
+    """Reference: the unblocked body, which held every uint64 draw and the
+    float64 result at once."""
+    keys = np.array([stream_key(seed, *path)], dtype=np.uint64)
+    bits = _fill_bits(np.empty((1, count), dtype=np.uint64), keys, start)
+    return bits[0] * 2.0**-53
+
+
 class TestBatching:
+    @pytest.mark.parametrize("count", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    def test_uniforms_match_one_shot_body(self, count):
+        got = uniforms(13, (5, 8), count, start=2**63 - 40)
+        want = one_shot_uniforms(13, (5, 8), count, 2**63 - 40)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_uniforms_independent_of_split(self):
         # 70001 draws span more than one in-place mixing block
         whole = uniforms(3, (4,), 70_001, start=2**62 - 100)

@@ -1,9 +1,16 @@
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jurylab
 from jurylab import streams, tally
 from jurylab.measure import affine
 from jurylab.profile import ExplicitSource, IidSource, Profile, generate
@@ -53,6 +60,18 @@ def reference_pmf(ps) -> np.ndarray:
         nxt[1 : k + 1] += tmp[:k]
         cur, nxt = nxt, cur
     return cur
+
+
+def exact_pmf(ps) -> list[Fraction]:
+    """Oracle: the voter-by-voter DP in exact rational arithmetic."""
+    pmf = [Fraction(1)]
+    for p in ps:
+        p = Fraction(float(p))
+        nxt = [x * (1 - p) for x in pmf] + [Fraction(0)]
+        for k, x in enumerate(pmf):
+            nxt[k + 1] += x * p
+        pmf = nxt
+    return pmf
 
 
 def full_pmf(ps) -> np.ndarray:
@@ -132,6 +151,49 @@ class TestProductTree:
             assert np.max(np.abs(full_pmf(profile) - ref)) <= 1e-12
             win = majority_prob_exact(explicit(profile)).value
             assert win == pytest.approx(math.fsum(ref[(n + 1) // 2 :]), abs=1e-12)
+
+    # one leaf, padded or full, and two or three leaves, one of them padded
+    @pytest.mark.parametrize("n", (1, 2, 3, 17, 31, 32, 33, 63, 65))
+    def test_entries_keep_relative_accuracy(self, n):
+        rng = np.random.default_rng(900 + n)
+        extremes = np.array([0.0, 1.0, 1e-200, 1.0 - 2.0**-53])
+        profiles = (
+            rng.random(n),
+            rng.choice(extremes, n),
+            np.where(rng.random(n) < 0.5, rng.random(n), rng.choice(extremes, n)),
+        )
+        for ps in profiles:
+            offset, band, _ = poisson_binomial_pmf(ps)
+            assert offset >= 0 and np.all(band >= 0.0)
+            # a padded leaf runs past n: those entries are exactly zero
+            assert not np.any(band[max(n + 1 - offset, 0) :])
+            for k, want in enumerate(exact_pmf(ps)):
+                got = band[k - offset] if 0 <= k - offset < len(band) else 0.0
+                if want >= 1e-280:
+                    assert abs(Fraction(float(got)) - want) <= Fraction(1e-13) * want, (k, ps)
+
+    def test_band_independent_of_blas_threads(self):
+        code = (
+            "import hashlib, numpy as np\n"
+            "from jurylab.tally import poisson_binomial_pmf\n"
+            "offset, band, trimmed = poisson_binomial_pmf(np.random.default_rng(7).random(4001))\n"
+            "print(offset, len(band), trimmed.hex(), hashlib.sha256(band.tobytes()).hexdigest())\n"
+        )
+        outs = []
+        for threads in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONPATH": str(Path(jurylab.__file__).parents[1]),
+                "OPENBLAS_NUM_THREADS": threads,
+            }
+            out = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+            )
+            outs.append(out.stdout.split())
+        assert outs[0] == outs[1]
+        offset, band, trimmed = poisson_binomial_pmf(np.random.default_rng(7).random(4001))
+        assert outs[0] == [str(offset), str(len(band)), trimmed.hex(),
+                           hashlib.sha256(band.tobytes()).hexdigest()]
 
     def test_sure_majority_is_exactly_one(self):
         # the band's total mass rounds to 1 - 5.5e-14 here, so summing the

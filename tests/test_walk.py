@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jurylab import streams
 from jurylab.measure import affine, dirac, lebesgue
+from jurylab.tally import monte_carlo_estimate
 from jurylab.walk import (
     MAX_ENUM_M,
     border_measure,
@@ -41,6 +43,27 @@ def reference_border_enumerated(m: int) -> Fraction:
                 alive &= 2 * ones > k
         count += int(np.count_nonzero(alive))
     return Fraction(count, total)
+
+
+def reference_walk_return(k: int, horizon: int, replicas: int, seed: int):
+    """Reference: the loop that held each 512-step block's draws, their
+    int64 and int32 steps and a shifted int32 cumsum at once."""
+    level = abs(k)
+    hits = np.zeros(replicas, dtype=bool)
+    active = np.arange(replicas)
+    position = np.zeros(replicas, dtype=np.int32)
+    done = 0
+    while done < horizon and len(active):
+        take = min(512, horizon - done)
+        bits = streams.bits_block(seed, (0x57A1,), active, take, col_start=done)
+        steps = np.where(bits < 2**52, -1, 1).astype(np.int32)
+        partial = np.cumsum(steps, axis=1) + position[:, None]
+        hit_now = partial.max(axis=1) >= level
+        hits[active[hit_now]] = True
+        active = active[~hit_now]
+        position = partial[~hit_now, -1]
+        done += take
+    return monte_carlo_estimate(int(np.count_nonzero(hits)), replicas)
 
 
 class TestCatalan:
@@ -124,6 +147,19 @@ class TestRandomWalkReturn:
         ):
             est = random_walk_return(k, horizon, replicas, seed=seed)
             assert (est.value, est.half_width) == (value, half)
+
+    @pytest.mark.parametrize("k,horizon,replicas,seed", [
+        (1, 7, 300, 0),
+        (2, 513, 1000, 1),
+        (5, 1100, 800, 2),
+        (-4, 1537, 500, 3),
+        (12, 2000, 1500, 5),
+        (40, 777, 400, 6),
+    ])
+    def test_matches_reference_loop(self, k, horizon, replicas, seed):
+        assert random_walk_return(k, horizon, replicas, seed=seed) == reference_walk_return(
+            k, horizon, replicas, seed
+        )
 
     def test_single_step(self):
         est = random_walk_return(1, 1, 100_000)
