@@ -8,15 +8,21 @@ come from batched doubling: each voter starts as the column [1 - p, p],
 and each of at most five levels convolves every adjacent pair of
 columns at once, forming all their outer products in one array and
 summing its anti-diagonals with one matmul against a 0/1 selector.  The
-leaves are then combined pairwise by direct convolution.  Every term is
-a sum of non-negative products, and the selector multiplies only by an
-exact 1.0 or 0.0, so each entry keeps the DP's relative accuracy.
-After each combine, entries below 1e-300 are cut from both
-ends of the band and their mass is added to a running `trimmed_mass`;
-convolving with probability vectors cannot grow an L1 error, so that
-sum bounds the error from trimming.  The smaller tail is summed with
-`math.fsum` and the win probability is it or its complement, so it
-lies in [0, 1] with no clamp.
+leaves are then combined pairwise by direct convolution of one band
+scaled by 2^1000 with the other, and the result is scaled back by
+2^-1000.  Kept entries are at least 1e-300 > 2^-997, so every scaled
+product of two of them is normal and no combine of trimmed bands pays
+for subnormal arithmetic; any scale from 2^972 to below 2^1024 would
+do, and a power of two changes no rounding of a normal product.  Every term is a sum of non-negative
+products, and the selector multiplies only by an exact 1.0 or 0.0, so
+each entry keeps the DP's relative accuracy.  After each combine whose
+band has an end below 1e-300, entries below 1e-300 are cut from both
+ends and their mass is added to a running `trimmed_mass`; convolving
+with probability vectors cannot grow an L1 error, so that sum bounds
+the error from trimming.  The smaller tail is summed with `math.fsum`
+and the win probability is it or its complement, so it lies in [0, 1]
+with no clamp.  `rounding_bound` bounds the rest of its error a priori,
+from the number of roundings behind any band entry.
 
 Weighted majority uses the signed formulation X_i in {-1,+1} and
 P(sum w_i X_i > 0); ties (sum exactly 0) count as a loss, which makes
@@ -66,6 +72,11 @@ _MC_BLOCK = 1 << 16
 # product-tree leaf size and the band trim threshold of the exact tally
 _LEAF = 32
 _TRIM = 1e-300
+# exact power-of-two scale of every tree combine; see poisson_binomial_pmf
+_SCALE = 2.0**1000
+_UNSCALE = 2.0**-1000
+# unit roundoff of float64
+_U = 2.0**-53
 
 
 def _anti_diagonal(width: int) -> np.ndarray:
@@ -91,6 +102,7 @@ class TallyEstimate:
     n_replicas: int = 0
     tie_prob: float | None = None
     trimmed_mass: float = 0.0
+    rounding_bound: float = 0.0
 
 
 def _checked_probs(profile: Profile) -> np.ndarray:
@@ -102,20 +114,20 @@ def _checked_probs(profile: Profile) -> np.ndarray:
     return profile.competences
 
 
-def poisson_binomial_pmf(ps: np.ndarray) -> tuple[int, np.ndarray, float]:
-    """PMF of sum of independent Bernoulli(p_i) as (offset, band, trimmed_mass).
+def _leaf_size(n: int) -> int:
+    """Voters per product-tree leaf: _LEAF, or the next power of two >= n."""
+    return min(_LEAF, 1 << (n - 1).bit_length())
 
-    band[i] is P(sum = offset + i) and every entry outside the band is
-    taken as 0; trimmed_mass, the mass cut over all combines, bounds the
-    L1 distance to the untrimmed PMF.  The voters, padded with p = 0,
-    fill leaves of min(_LEAF, next power of two >= n) voters, whose PMFs
-    take log2 of that many doubling levels, each one elementwise product
-    and one matmul over all leaves; leaves are never trimmed.  The leaf
-    PMFs are then convolved pairwise, level by level, and each product
-    is cut to the entries at or above _TRIM.
+
+def _leaf_pmfs(ps: np.ndarray) -> np.ndarray:
+    """The leaf PMFs of the product tree as rows of a (leaves, leaf + 1) array.
+
+    The voters, padded with p = 0, fill leaves of _leaf_size(n) voters,
+    whose PMFs take log2 of that many doubling levels, each one
+    elementwise product and one matmul over all leaves.
     """
     n = max(len(ps), 1)
-    leaf = min(_LEAF, 1 << (n - 1).bit_length())
+    leaf = _leaf_size(n)
     n_leaves = -(-n // leaf)
     # column v is voter v's PMF [1 - p, p]; padding columns [1, 0] are neutral
     cols = np.zeros((2, n_leaves * leaf))
@@ -136,15 +148,42 @@ def poisson_binomial_pmf(ps: np.ndarray) -> tuple[int, np.ndarray, float]:
             outer.reshape(width * width, m),
             out=flat[: (2 * width - 1) * m].reshape(2 * width - 1, m),
         )
-    nodes = [(0, leaf_pmf) for leaf_pmf in np.ascontiguousarray(cols.T)]
+    return np.ascontiguousarray(cols.T)
+
+
+def poisson_binomial_pmf(ps: np.ndarray) -> tuple[int, np.ndarray, float]:
+    """PMF of sum of independent Bernoulli(p_i) as (offset, band, trimmed_mass).
+
+    band[i] is P(sum = offset + i) and every entry outside the band is
+    taken as 0; trimmed_mass, the mass cut over all combines, bounds the
+    L1 distance to the untrimmed PMF.  The leaf PMFs (`_leaf_pmfs`) are
+    never trimmed.  They are convolved pairwise, level by level, and
+    each product is cut to the entries at or above _TRIM.
+
+    Each combine convolves a * 2^1000 with b and scales the band back by
+    2^-1000 in place.  A kept entry is at least _TRIM > 2^-997, so every
+    product of two kept entries, scaled, is at least 2^-994 and normal:
+    only a product with an entry of an untrimmed leaf can be subnormal,
+    and a subnormal product costs tens of times a normal one on common
+    x86 cores.  Entries never exceed 1 + O(u) and outputs never exceed
+    2^1000 * sum(a) * max(b), so any scale from 2^972 to well below
+    2^1024 is safe.  Power-of-two scaling is exact: an entry whose
+    products were all normal comes out bit for bit as unscaled, and one
+    with subnormal products comes out more accurate.  The band is
+    searched for its cut only when an end falls below _TRIM.
+    """
+    nodes = [(0, leaf_pmf) for leaf_pmf in _leaf_pmfs(ps)]
     trimmed = 0.0
     while len(nodes) > 1:
         paired = []
         for (off_a, a), (off_b, b) in zip(nodes[0::2], nodes[1::2]):
-            band = np.convolve(a, b)
-            live = np.flatnonzero(band >= _TRIM)
-            lo, hi = int(live[0]), int(live[-1]) + 1
-            trimmed += float(band[:lo].sum() + band[hi:].sum())
+            band = np.convolve(a * _SCALE, b)
+            band *= _UNSCALE
+            lo, hi = 0, len(band)
+            if band[0] < _TRIM or band[-1] < _TRIM:
+                live = np.flatnonzero(band >= _TRIM)
+                lo, hi = int(live[0]), int(live[-1]) + 1
+                trimmed += float(band[:lo].sum() + band[hi:].sum())
             paired.append((off_a + off_b + lo, band[lo:hi]))
         if len(nodes) % 2:
             paired.append(nodes[-1])
@@ -153,25 +192,73 @@ def poisson_binomial_pmf(ps: np.ndarray) -> tuple[int, np.ndarray, float]:
     return offset, band, trimmed
 
 
+def _rounding_depth(n: int) -> int:
+    """K, the rounding depth of every band entry of an n-voter tally.
+
+    A level whose longest anti-diagonal has m products makes each entry
+    a sum of at most m non-negative products, so it scales the entry's
+    error by at most 1 + gamma_m, and (1 + gamma_a)(1 + gamma_b) <=
+    1 + gamma_(a+b).  K adds one per voter for the rounding of 1 - p,
+    the leaf levels' widths 2, 3, 5, ..., leaf / 2 + 1, and at tree level
+    j, leaf * 2^j + 1, the untrimmed length of the shorter band.
+    """
+    leaf = _leaf_size(n)
+    depth = n + leaf - 1 + leaf.bit_length() - 1
+    nodes, voters = -(-n // leaf), leaf
+    while nodes > 1:
+        depth += voters + 1
+        nodes, voters = -(-nodes // 2), 2 * voters
+    return depth
+
+
+def _relative_gamma(k: int) -> float:
+    """gamma_k / (1 - gamma_k) with gamma_k = k u / (1 - k u): an error of
+    at most gamma_k of the exact value, as a multiple of the computed one."""
+    return k * _U / (1.0 - 2.0 * k * _U)
+
+
 def majority_prob_exact(profile: Profile) -> TallyEstimate:
     """Exact P(sum X_i > n/2) for independent X_i ~ Bernoulli(p_i).
 
-    trimmed_mass bounds the probability lost to the band trim.
+    trimmed_mass bounds the probability lost to the band trim, and
+    |value - exact| <= rounding_bound + trimmed_mass.  rounding_bound is
+    a priori: every band entry is within gamma_K (see _rounding_depth)
+    of the exact mass of its untrimmed outcomes, which bounds the
+    smaller tail's error; to that it adds the rounding of fsum and of
+    1 - x, the slack between the computed and exact trimmed mass, and
+    2^-1074 for each of the fewer than (n + _LEAF)^2 products and entries
+    that may underflow (convolving with PMFs never grows an L1 error).
     """
+    n = profile.n
     ps = _checked_probs(profile)
     offset, band, trimmed = poisson_binomial_pmf(ps)
-    split = max((profile.n + 1) // 2 - offset, 0)
+    split = max((n + 1) // 2 - offset, 0)
     lower, upper = band[:split], band[split:]
     # fsum the smaller tail; the larger one is its complement
     if upper.sum() <= lower.sum():
-        value = math.fsum(upper.tolist())
+        tail = value = math.fsum(upper.tolist())
     else:
-        value = 1.0 - math.fsum(lower.tolist())
-    return TallyEstimate(value=value, method="exact_dp", trimmed_mass=trimmed)
+        tail = math.fsum(lower.tolist())
+        value = 1.0 - tail
+    depth = _rounding_depth(n)
+    bound = (
+        _relative_gamma(depth) * (1.0 + _U) * tail
+        + _U * (tail + value)
+        # the trim sums and their running total round at most 2n + 2 times
+        + _relative_gamma(depth + 2 * n + 2) * trimmed
+        + (n + _LEAF) ** 2 * 2.0**-1074
+    )
+    return TallyEstimate(
+        value=value, method="exact_dp", trimmed_mass=trimmed, rounding_bound=bound
+    )
 
 
 def anti_majority_prob_exact(profile: Profile) -> TallyEstimate:
-    """Exact P(sum X_i < n/2): majority computed on the mirrored profile."""
+    """Exact P(sum X_i < n/2): majority computed on the mirrored profile.
+
+    Its bounds are those of the mirrored profile, whose competences are
+    the floats nearest 1 - p_i.
+    """
     ps = _checked_probs(profile)
     flipped = Profile(1.0 - ps, profile.source, profile.seed)
     return majority_prob_exact(flipped)

@@ -22,6 +22,7 @@ class TestTally:
         assert doc["value"] == pytest.approx(0.648, abs=1e-12)
         assert doc["method"] == "exact_dp"
         assert doc["trimmed_mass"] == 0.0
+        assert 0.0 < doc["rounding_bound"] < 1e-14
 
     def test_even_profile_exits_one(self, capsys):
         assert main(["tally", "--profile", "0.6,0.6"]) == 1
@@ -34,6 +35,7 @@ class TestTally:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == pytest.approx(0.9, abs=1e-12)
         assert "trimmed_mass" not in doc
+        assert "rounding_bound" not in doc
 
     def test_missing_profile_exits_one(self, capsys):
         assert main(["tally"]) == 1

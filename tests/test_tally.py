@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 import jurylab
 from jurylab import streams, tally
-from jurylab.measure import affine
+from jurylab.measure import affine, lebesgue
 from jurylab.profile import ExplicitSource, IidSource, Profile, generate
 from jurylab.tally import (
     MAX_BRUTE_N,
@@ -72,6 +73,31 @@ def exact_pmf(ps) -> list[Fraction]:
             nxt[k + 1] += x * p
         pmf = nxt
     return pmf
+
+
+def reference_tree_pmf(ps) -> tuple[int, np.ndarray, float]:
+    """Reference: the unscaled tree stage, which convolves the leaf PMFs as
+    they are and searches every band for its cut."""
+    nodes = [(0, leaf_pmf) for leaf_pmf in tally._leaf_pmfs(np.asarray(ps, dtype=float))]
+    trimmed = 0.0
+    while len(nodes) > 1:
+        paired = []
+        for (off_a, a), (off_b, b) in zip(nodes[0::2], nodes[1::2]):
+            band = np.convolve(a, b)
+            live = np.flatnonzero(band >= tally._TRIM)
+            lo, hi = int(live[0]), int(live[-1]) + 1
+            trimmed += float(band[:lo].sum() + band[hi:].sum())
+            paired.append((off_a + off_b + lo, band[lo:hi]))
+        if len(nodes) % 2:
+            paired.append(nodes[-1])
+        nodes = paired
+    offset, band = nodes[0]
+    return offset, band, trimmed
+
+
+def exact_majority(ps) -> Fraction:
+    """Oracle: P(sum > n/2) from the Fraction DP."""
+    return sum(exact_pmf(ps)[(len(ps) + 1) // 2 :], Fraction(0))
 
 
 def full_pmf(ps) -> np.ndarray:
@@ -220,6 +246,71 @@ class TestProductTree:
         for est in (win, anti):
             assert est.method == "exact_dp"
             assert 0.0 < est.trimmed_mass < 1e-280
+
+
+class TestScaledTree:
+    MEASURES = {"lebesgue": lebesgue(), "affine+1": affine(1.0), "affine-1": affine(-1.0)}
+
+    @pytest.mark.parametrize("n", (1001, 4001, 20_001))
+    @pytest.mark.parametrize("measure", sorted(MEASURES))
+    def test_matches_unscaled_tree(self, measure, n):
+        # scaling by 2^1000 is exact: entries whose products were normal
+        # match bit for bit, the rest can only move by their last bit
+        ps = generate(IidSource(self.MEASURES[measure]), n, seed=31).competences
+        offset, band, trimmed = poisson_binomial_pmf(ps)
+        ref_offset, ref_band, ref_trimmed = reference_tree_pmf(ps)
+        assert (offset, len(band), trimmed) == (ref_offset, len(ref_band), ref_trimmed)
+        assert np.all(np.abs(band - ref_band) <= np.spacing(ref_band))
+
+    @pytest.mark.parametrize("n", (65, 4001))
+    @pytest.mark.parametrize("halves", (0, 1, 20))
+    def test_certain_voters_never_overflow(self, n, halves):
+        # the scaled leaf holds 2^1000 where the band is 1: no product or
+        # sum may reach inf, and halves p = 0.5 voters give C(halves, k)
+        # 2^-halves exactly, dyadic all the way
+        ps = np.random.default_rng(n + halves).choice([0.0, 1.0], n)
+        ps[:halves] = 0.5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            offset, band, trimmed = poisson_binomial_pmf(ps)
+        want = [math.comb(halves, k) * 2.0**-halves for k in range(halves + 1)]
+        assert offset == np.count_nonzero(ps == 1.0)
+        assert band.tolist() == want
+        assert trimmed == 0.0
+
+
+class TestRoundingBound:
+    @pytest.mark.parametrize("n", (1, 3, 17, 33, 65))
+    def test_covers_the_fraction_oracle(self, n):
+        rng = np.random.default_rng(1700 + n)
+        extremes = np.array([0.0, 1.0, 1e-200, 1.0 - 2.0**-53])
+        profiles = (
+            rng.random(n),
+            np.full(n, 1e-200),
+            rng.choice(extremes, n),
+            np.where(rng.random(n) < 0.5, rng.random(n), rng.choice(extremes, n)),
+        )
+        for ps in profiles:
+            for est, exact in (
+                (majority_prob_exact(explicit(ps)), exact_majority(ps)),
+                (anti_majority_prob_exact(explicit(ps)), exact_majority(1.0 - ps)),
+            ):
+                assert est.method == "exact_dp"
+                assert 0.0 < est.rounding_bound < 1e-13
+                err = abs(Fraction(est.value) - exact)
+                assert err <= Fraction(est.rounding_bound) + Fraction(est.trimmed_mass), ps
+
+    def test_covers_the_band_mass_at_n_10001(self):
+        # every p = 0.99: the band's mass is 1 - 5.5e-14, which the value
+        # (one minus the lower tail) never shows; the per-entry bound covers it
+        n = 10_001
+        offset, band, trimmed = poisson_binomial_pmf(np.full(n, 0.99))
+        mass = math.fsum(band.tolist())
+        assert 1e-14 < 1.0 - mass
+        entry = tally._relative_gamma(tally._rounding_depth(n))
+        assert 1.0 - mass <= entry * mass + trimmed
+        est = majority_prob_exact(explicit(np.full(n, 0.99)))
+        assert 0.0 < est.rounding_bound < 1e-15
 
 
 class TestMajorityExact:

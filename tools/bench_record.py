@@ -10,9 +10,10 @@ which side goes first, so both sides see the same hour of the host, and
 the file counts the pairs the change won.  One traced run per side of
 `large_exact` and of `small_committees` gives the mean milliseconds per
 `majority_prob_exact` call at every traced size (`tally.exact_ms.n*`).
-The file also names the host, Python, numpy, scipy and each side's git
-commit and source digest.  Nothing under `bench/` is changed; traced
-runs write their spans to each checkout's `bench/out/`, as they always do.
+The file also names the host and its CPU model, Python, numpy, scipy
+and each side's git commit and source digest.  Nothing under `bench/` is
+changed; traced runs write their spans to each checkout's `bench/out/`,
+as they always do.
 """
 
 from __future__ import annotations
@@ -73,6 +74,19 @@ def provenance(checkout: Path) -> dict:
     }
 
 
+def cpu_model() -> str | None:
+    """The first `model name` of /proc/cpuinfo, where it exists: the cost
+    of subnormal arithmetic, for one, depends on the microarchitecture."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
 def summarise(runs: list[dict]) -> dict:
     """Per metric: median and quartiles over the seeds, and every run's value."""
     metrics = {}
@@ -122,6 +136,7 @@ def main(argv=None) -> int:
         "host": {
             "machine": platform.machine(),
             "processor": platform.processor() or None,
+            "cpu_model": cpu_model(),
             "cpus": os.cpu_count(),
             "system": platform.platform(),
         },
