@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -92,31 +93,28 @@ def _cmd_tally(args: argparse.Namespace) -> int:
 
 
 def _source_from_args(args: argparse.Namespace) -> prof.ProfileSource:
-    kind = args.source
-    if kind == "iid":
-        if not args.measure:
-            raise ValueError("iid source needs --measure FILE")
-        return prof.IidSource(_load_measure(args.measure))
-    if kind == "condorcet":
-        return prof.CondorcetSource(args.eps)
-    if kind == "moa":
-        return prof.MoaSource(args.eps)
-    if kind == "c1":
-        return prof.C1Source(args.alpha)
-    if kind == "c2":
-        pre = tuple(int(v) for v in args.prefix.split(",")) if args.prefix else ()
-        return prof.C2Source(pre)
-    if kind == "explicit":
-        return prof.ExplicitSource(tuple(_parse_floats(args.competences)))
-    raise ValueError(f"unknown source kind {kind!r}")
+    if args.source == "iid" and not args.measure:
+        raise ValueError("iid source needs --measure FILE")
+    build = {
+        "iid": lambda: prof.IidSource(_load_measure(args.measure)),
+        "condorcet": lambda: prof.CondorcetSource(args.eps),
+        "moa": lambda: prof.MoaSource(args.eps),
+        "c1": lambda: prof.C1Source(args.alpha),
+        "c2": lambda: prof.C2Source(tuple(map(int, args.prefix.split(","))) if args.prefix else ()),
+        "explicit": lambda: prof.ExplicitSource(tuple(_parse_floats(args.competences))),
+    }
+    return build[args.source]()
 
 
 def _cmd_conditions(args: argparse.Namespace) -> int:
     source = _source_from_args(args)
     checkpoints = [int(v) for v in args.checkpoints.split(",")]
     report = prof.condition_report(source, checkpoints, seed=args.seed)
-    lines = [_provenance(args.seed, source=args.source, checkpoints=checkpoints,
-                         eps=args.eps, alpha=args.alpha, prefix=args.prefix)]
+    params = dict(source=args.source, checkpoints=checkpoints, eps=args.eps,
+                  alpha=args.alpha, prefix=args.prefix)
+    if args.source in ("iid", "explicit"):  # by content; flags fully name the others
+        params |= asdict(source)
+    lines = [_provenance(args.seed, **params)]
     lines.append(",".join(prof.ConditionReport.FIELDS))
     for row in report.rows():
         lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
@@ -127,8 +125,8 @@ def _cmd_conditions(args: argparse.Namespace) -> int:
 def _cmd_weights_sweep(args: argparse.Namespace) -> int:
     spec = _load_measure(args.measure) if args.measure else lebesgue()
     lines = [
-        _provenance(args.seed, measure=args.measure or "lebesgue", w=args.w_grid,
-                    k=args.k_grid, sigma=args.sigma_grid),
+        _provenance(args.seed, measure=asdict(spec) if args.measure else "lebesgue",
+                    w=args.w_grid, k=args.k_grid, sigma=args.sigma_grid),
         "W,k,sigma_w,moment_criterion,drift",
     ]
     for W in _parse_floats(args.w_grid):

@@ -17,7 +17,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,16 +25,7 @@ from . import streams
 from .measure import MeasureSpec, from_dict as measure_from_dict, to_dict as measure_to_dict
 from .profile import DegenerateProfileError, IidSource, Profile, generate, q_statistic
 from .tally import MAX_BRUTE_N, majority_prob_exact, weighted_majority_prob
-from .weights import (
-    BoundedPoly,
-    ExpertRule,
-    LogOdds,
-    StochasticPoly,
-    UnitWeights,
-    WeightScheme,
-    deterministic_weight,
-    sample_weight,
-)
+from .weights import SCHEMES, WeightScheme, deterministic_weight, sample_weight
 
 __all__ = [
     "ExperimentConfig",
@@ -79,6 +70,10 @@ class ExperimentConfig:
             raise ValueError("need at least 10 profiles per n")
         if not 0.0 < self.low < self.high < 1.0:
             raise ValueError("need 0 < low < high < 1")
+        if self.tally_mode not in ("auto", "brute", "mc"):
+            raise ValueError(f"unknown tally_mode {self.tally_mode!r}")
+        if self.replicas < 100:
+            raise ValueError("need at least 100 replicas")
 
 
 @dataclass(frozen=True)
@@ -114,7 +109,7 @@ def _profile_outcome(
 
     scheme = config.scheme
     warning = None
-    if isinstance(scheme, StochasticPoly):
+    if scheme.stochastic:
         rng = streams.generator(config.seed, _WEIGHT_TAG, n, j)
         w = np.asarray(sample_weight(scheme, p, rng))
     else:
@@ -193,32 +188,15 @@ def classify_trend(report: ExperimentReport) -> str:
 # -- serialization ----------------------------------------------------------
 
 def scheme_to_dict(scheme: WeightScheme) -> dict:
-    if isinstance(scheme, UnitWeights):
-        return {"kind": "unit"}
-    if isinstance(scheme, ExpertRule):
-        return {"kind": "expert", "threshold": scheme.threshold}
-    if isinstance(scheme, LogOdds):
-        return {"kind": "log_odds", "clamp": scheme.clamp}
-    if isinstance(scheme, StochasticPoly):
-        return {"kind": "stochastic", "W": scheme.W, "k": scheme.k, "sigma_w": scheme.sigma_w}
-    if isinstance(scheme, BoundedPoly):
-        return {"kind": "bounded_poly", "W": scheme.W, "k": scheme.k}
-    raise TypeError(f"unknown scheme {type(scheme).__name__}")
+    return {"kind": scheme.kind, **asdict(scheme)}
 
 
 def scheme_from_dict(doc: dict) -> WeightScheme:
-    kind = doc.get("kind")
-    if kind == "unit":
-        return UnitWeights()
-    if kind == "expert":
-        return ExpertRule(threshold=float(doc["threshold"]))
-    if kind == "log_odds":
-        return LogOdds(clamp=float(doc.get("clamp", 1e-6)))
-    if kind == "bounded_poly":
-        return BoundedPoly(W=float(doc["W"]), k=int(doc["k"]))
-    if kind == "stochastic":
-        return StochasticPoly(W=float(doc["W"]), k=int(doc["k"]), sigma_w=float(doc["sigma_w"]))
-    raise ValueError(f"unknown scheme kind {kind!r}")
+    fields = dict(doc)
+    kind = fields.pop("kind", None)
+    if kind not in SCHEMES:
+        raise ValueError(f"unknown scheme kind {kind!r}")
+    return SCHEMES[kind](**fields)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -4,10 +4,12 @@ Profiles come either from iid draws of a measure on [0,1] or from the
 analytic families used throughout the package: constant-edge voters,
 a mostly-uninformed electorate with a perfectly informed slice, slowly
 decaying boosts with average competence one half, and deterministic
-0/1 sequences.  The diagnostics trace the two quantities that decide
-whether majority voting becomes reliable along a sequence: the drift
-statistic Q_k and the count of perfectly informed voters, plus their
-generalized per-index-mean versions and Chebyshev bounds.
+0/1 sequences.  Each source carries its own `values(n, seed)`: the
+first n competences of its sequence.  The diagnostics trace the two
+quantities that decide whether majority voting becomes reliable along
+a sequence: the drift statistic Q_k and the count of perfectly
+informed voters, plus their generalized per-index-mean versions and
+Chebyshev bounds.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ class IidSource:
 
     measure: MeasureSpec
 
+    def values(self, n: int, seed: int) -> np.ndarray:
+        u = streams.uniforms(seed, (_IID_TAG,), n)
+        return np.asarray(quantile(self.measure, u), dtype=float)
+
 
 @dataclass(frozen=True)
 class ExplicitSource:
@@ -60,6 +66,11 @@ class ExplicitSource:
         if any(not 0.0 <= p <= 1.0 for p in comp):
             raise ValueError("competences must lie in [0,1]")
 
+    def values(self, n: int, seed: int) -> np.ndarray:
+        if len(self.competences) < n:
+            raise ValueError(f"explicit source has {len(self.competences)} < {n} entries")
+        return np.asarray(self.competences[:n], dtype=float)
+
 
 @dataclass(frozen=True)
 class CondorcetSource:
@@ -71,6 +82,9 @@ class CondorcetSource:
         if not 0.0 < self.eps <= 0.5:
             raise ValueError("eps must lie in (0, 1/2]")
 
+    def values(self, n: int, seed: int) -> np.ndarray:
+        return np.full(n, 0.5 + self.eps)
+
 
 @dataclass(frozen=True)
 class MoaSource:
@@ -81,6 +95,11 @@ class MoaSource:
     def __post_init__(self) -> None:
         if not 0.0 < self.informed_fraction <= 1.0:
             raise ValueError("informed_fraction must lie in (0, 1]")
+
+    def values(self, n: int, seed: int) -> np.ndarray:
+        p = np.full(n, 0.5)
+        p[:int(np.floor(self.informed_fraction * n))] = 1.0
+        return p
 
 
 @dataclass(frozen=True)
@@ -98,6 +117,10 @@ class C1Source:
         if not -0.5 < self.alpha < 0.0:
             raise ValueError("alpha must lie in (-1/2, 0)")
 
+    def values(self, n: int, seed: int) -> np.ndarray:
+        i = np.arange(1, n + 1, dtype=float)
+        return 0.5 + np.minimum(i**self.alpha, 0.5)
+
 
 @dataclass(frozen=True)
 class C2Source:
@@ -110,6 +133,16 @@ class C2Source:
         object.__setattr__(self, "prefix", pre)
         if any(v not in (0, 1) for v in pre):
             raise ValueError("prefix entries must be 0 or 1")
+
+    def values(self, n: int, seed: int) -> np.ndarray:
+        m = len(self.prefix)
+        p = np.empty(n, dtype=float)
+        p[:min(m, n)] = self.prefix[:n]
+        tail = n - m
+        if tail > 0:
+            j = np.arange(1, tail + 1)
+            p[m:] = np.where(j == 1, 1.0, (j % 2 == 0).astype(float))
+        return p
 
 
 ProfileSource = Union[IidSource, ExplicitSource, CondorcetSource, MoaSource, C1Source, C2Source]
@@ -143,36 +176,6 @@ def _require_odd(n: int) -> None:
         raise ValueError(f"voter count must be odd and positive, got {n}")
 
 
-def _family_values(source: ProfileSource, n: int, seed: int) -> np.ndarray:
-    if isinstance(source, IidSource):
-        u = streams.uniforms(seed, (_IID_TAG,), n)
-        return np.asarray(quantile(source.measure, u), dtype=float)
-    if isinstance(source, ExplicitSource):
-        if len(source.competences) < n:
-            raise ValueError(f"explicit source has {len(source.competences)} < {n} entries")
-        return np.asarray(source.competences[:n], dtype=float)
-    if isinstance(source, CondorcetSource):
-        return np.full(n, 0.5 + source.eps)
-    if isinstance(source, MoaSource):
-        informed = int(np.floor(source.informed_fraction * n))
-        p = np.full(n, 0.5)
-        p[:informed] = 1.0
-        return p
-    if isinstance(source, C1Source):
-        i = np.arange(1, n + 1, dtype=float)
-        return 0.5 + np.minimum(i**source.alpha, 0.5)
-    if isinstance(source, C2Source):
-        m = len(source.prefix)
-        p = np.empty(n, dtype=float)
-        p[:min(m, n)] = source.prefix[:n]
-        tail = n - m
-        if tail > 0:
-            j = np.arange(1, tail + 1)
-            p[m:] = np.where(j == 1, 1.0, (j % 2 == 0).astype(float))
-        return p
-    raise TypeError(f"unknown profile source {type(source).__name__}")
-
-
 def generate(source: ProfileSource, n: int, seed: int = 0) -> Profile:
     """Deterministic profile of odd length n for (source, seed).
 
@@ -181,7 +184,7 @@ def generate(source: ProfileSource, n: int, seed: int = 0) -> Profile:
     extends a shorter one.
     """
     _require_odd(n)
-    return Profile(_family_values(source, n, seed), source, seed)
+    return Profile(source.values(n, seed), source, seed)
 
 
 def q_statistic(profile: Profile) -> float:

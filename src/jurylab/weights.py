@@ -5,6 +5,9 @@ log-odds, and the bounded polynomial w_d(p) = 1 + (W-1)*p^k that rises
 from 1 to W.  The stochastic scheme adds a truncated-Gaussian error to
 w_d whose truncation interval (1 - w_d(p), W - w_d(p)) pins the total
 weight inside [1, W], so no voter ever drops below unit weight.
+Every scheme carries its registry `kind`, a `stochastic` flag and
+`weight(p)`, its deterministic weight over a float array of any shape;
+`SCHEMES` maps each kind to its class.
 
 The analytic side evaluates the truncated-normal conditional mean, the
 sharpness factor f(x, p) with x = (W-1)/sigma, the moment criterion
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 from scipy import special
@@ -32,6 +35,7 @@ __all__ = [
     "BoundedPoly",
     "StochasticPoly",
     "WeightScheme",
+    "SCHEMES",
     "TruncatedGaussianSpec",
     "deterministic_weight",
     "sample_weight",
@@ -48,7 +52,11 @@ _SQRT_2_PI = math.sqrt(2.0 / math.pi)
 
 @dataclass(frozen=True)
 class UnitWeights:
-    pass
+    kind: ClassVar[str] = "unit"
+    stochastic: ClassVar[bool] = False
+
+    def weight(self, p: np.ndarray) -> np.ndarray:
+        return np.ones_like(p)
 
 
 @dataclass(frozen=True)
@@ -56,10 +64,16 @@ class ExpertRule:
     """Weight 1 for p >= threshold, 0 otherwise."""
 
     threshold: float
+    kind: ClassVar[str] = "expert"
+    stochastic: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "threshold", float(self.threshold))
         if not 0.5 < self.threshold <= 1.0:
             raise ValueError("expert threshold must lie in (1/2, 1]")
+
+    def weight(self, p: np.ndarray) -> np.ndarray:
+        return (p >= self.threshold).astype(float)
 
 
 @dataclass(frozen=True)
@@ -70,10 +84,17 @@ class LogOdds:
     """
 
     clamp: float = 1e-6
+    kind: ClassVar[str] = "log_odds"
+    stochastic: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "clamp", float(self.clamp))
         if not 0.0 < self.clamp < 0.5:
             raise ValueError("clamp must lie in (0, 1/2)")
+
+    def weight(self, p: np.ndarray) -> np.ndarray:
+        clamped = np.clip(p, self.clamp, 1.0 - self.clamp)
+        return np.log(clamped / (1.0 - clamped))
 
 
 @dataclass(frozen=True)
@@ -82,28 +103,38 @@ class BoundedPoly:
 
     W: float
     k: int
+    kind: ClassVar[str] = "bounded_poly"
+    stochastic: ClassVar[bool] = False
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "W", float(self.W))
         if not self.W > 1.0:
             raise ValueError("W must exceed 1")
         if int(self.k) != self.k or self.k < 1:
             raise ValueError("k must be an integer >= 1")
         object.__setattr__(self, "k", int(self.k))
 
+    def weight(self, p: np.ndarray) -> np.ndarray:
+        return 1.0 + (self.W - 1.0) * p**self.k
+
 
 @dataclass(frozen=True)
 class StochasticPoly(BoundedPoly):
     """Bounded polynomial weight plus truncated-Gaussian error.
 
-    The noise scale relative to the weight range is summarized by the
-    diagnostic x = (W-1)/sigma_w; the larger x, the closer the scheme
-    tracks its deterministic part.
+    `weight` is the deterministic part w_d; `sample_weight` adds the
+    error.  The noise scale relative to the weight range is summarized
+    by the diagnostic x = (W-1)/sigma_w; the larger x, the closer the
+    scheme tracks its deterministic part.
     """
 
-    sigma_w: float = 1.0
+    sigma_w: float
+    kind: ClassVar[str] = "stochastic"
+    stochastic: ClassVar[bool] = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        object.__setattr__(self, "sigma_w", float(self.sigma_w))
         if not self.sigma_w > 0.0:
             raise ValueError("sigma_w must be positive")
 
@@ -113,6 +144,9 @@ class StochasticPoly(BoundedPoly):
 
 
 WeightScheme = Union[UnitWeights, ExpertRule, LogOdds, BoundedPoly, StochasticPoly]
+
+# kind -> class: the one place a serialized scheme is resolved
+SCHEMES = {cls.kind: cls for cls in get_args(WeightScheme)}
 
 
 @dataclass(frozen=True)
@@ -132,18 +166,7 @@ class TruncatedGaussianSpec:
 
 def deterministic_weight(scheme: WeightScheme, p: np.ndarray | float) -> np.ndarray | float:
     """The deterministic weight of a voter with competence p."""
-    arr = np.asarray(p, dtype=float)
-    if isinstance(scheme, UnitWeights):
-        out = np.ones_like(arr)
-    elif isinstance(scheme, ExpertRule):
-        out = (arr >= scheme.threshold).astype(float)
-    elif isinstance(scheme, LogOdds):
-        clamped = np.clip(arr, scheme.clamp, 1.0 - scheme.clamp)
-        out = np.log(clamped / (1.0 - clamped))
-    elif isinstance(scheme, BoundedPoly):
-        out = 1.0 + (scheme.W - 1.0) * arr**scheme.k
-    else:
-        raise TypeError(f"unknown weight scheme {type(scheme).__name__}")
+    out = scheme.weight(np.asarray(p, dtype=float))
     return out if np.ndim(p) else float(out)
 
 
@@ -221,7 +244,7 @@ def f_function(x: float, p: np.ndarray | float) -> np.ndarray | float:
 
 def _error_mean(scheme: StochasticPoly, p: np.ndarray) -> np.ndarray:
     """E(error | p) for the truncation interval (1 - w_d, W - w_d)."""
-    wd = 1.0 + (scheme.W - 1.0) * p**scheme.k
+    wd = scheme.weight(p)
     alpha = (1.0 - wd) / scheme.sigma_w
     beta = (scheme.W - wd) / scheme.sigma_w
     return scheme.sigma_w * _std_truncnorm_mean(alpha, beta)
@@ -231,21 +254,13 @@ def sample_weight(
     scheme: StochasticPoly,
     p: np.ndarray | float,
     rng: np.random.Generator,
-    size: int | None = None,
 ) -> np.ndarray | float:
-    """Draw w = w_d(p) + error by inverse CDF; always lands in [1, W].
-
-    With scalar p and a size, draws that many weights at one p; with an
-    array p (and size None), draws one weight per entry.
-    """
+    """Draw w = w_d(p) + error by inverse CDF, one weight per entry of p;
+    always lands in [1, W]."""
     if not isinstance(scheme, StochasticPoly):
         raise TypeError("sample_weight needs a stochastic scheme")
     arr = np.asarray(p, dtype=float)
-    if size is not None:
-        if arr.ndim != 0:
-            raise ValueError("size only applies to scalar p")
-        arr = np.full(size, float(arr))
-    wd = 1.0 + (scheme.W - 1.0) * arr**scheme.k
+    wd = scheme.weight(arr)
     alpha = (1.0 - wd) / scheme.sigma_w
     beta = (scheme.W - wd) / scheme.sigma_w
     u = rng.random(arr.shape)
@@ -254,7 +269,7 @@ def sample_weight(
 
     eps = scheme.sigma_w * stats.truncnorm.ppf(u, alpha, beta)
     w = np.clip(wd + eps, 1.0, scheme.W)
-    return w if (np.ndim(p) or size is not None) else float(w)
+    return w if np.ndim(p) else float(w)
 
 
 def moment_criterion(spec: MeasureSpec, k: int) -> float:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -111,6 +112,19 @@ class TestConditions:
     def test_bad_checkpoints_exit_one(self, capsys):
         assert main(["conditions", "--source", "condorcet", "--checkpoints", "4,8"]) == 1
 
+    def test_header_hash_covers_measure_and_competences(self, measure_files, capsys):
+        def header(*argv):
+            assert main(["conditions", *argv, "--checkpoints", "1,3"]) == 0
+            return capsys.readouterr().out.splitlines()[0]
+
+        uniform, tilted = measure_files
+        assert header("--source", "iid", "--measure", uniform) != header(
+            "--source", "iid", "--measure", tilted
+        )
+        assert header("--source", "explicit", "--competences", "0.6,0.6,0.6") != header(
+            "--source", "explicit", "--competences", "0.9,0.1,0.9"
+        )
+
 
 class TestWeightsSweep:
     def test_csv(self, capsys):
@@ -121,6 +135,20 @@ class TestWeightsSweep:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[1] == "W,k,sigma_w,moment_criterion,drift"
         assert len(lines) == 3
+
+    def test_header_hash_covers_measure_content(self, measure_files, tmp_path, capsys):
+        # hashed by content: a copy elsewhere hashes alike, another measure not
+        copy = tmp_path / "copy" / "uniform.json"
+        copy.parent.mkdir()
+        copy.write_text(Path(measure_files[0]).read_text())
+        headers = []
+        for path in (*measure_files, str(copy)):
+            argv = ["weights-sweep", "--measure", path, "--w-grid", "10", "--k-grid", "1",
+                    "--sigma-grid", "1.0"]
+            assert main(argv) == 0
+            headers.append(capsys.readouterr().out.splitlines()[0])
+        assert headers[0] != headers[1]
+        assert headers[0] == headers[2]
 
 
 class TestExperiment:

@@ -8,15 +8,25 @@ from jurylab.experiment import (
     ExperimentRow,
     classify_trend,
     config_from_dict,
+    config_hash,
     config_to_dict,
     report_to_csv,
     report_to_json,
     report_to_svg,
     run,
+    scheme_from_dict,
+    scheme_to_dict,
 )
 from jurylab.measure import affine, lebesgue
 from jurylab.tally import MAX_BRUTE_N
-from jurylab.weights import LogOdds, StochasticPoly, UnitWeights, drift
+from jurylab.weights import (
+    BoundedPoly,
+    ExpertRule,
+    LogOdds,
+    StochasticPoly,
+    UnitWeights,
+    drift,
+)
 
 
 def small_config(**overrides):
@@ -44,9 +54,73 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_config(profiles_per_n=5)
 
-    def test_round_trip(self):
-        cfg = small_config(scheme=StochasticPoly(W=50.0, k=2, sigma_w=1.5))
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+    @pytest.mark.parametrize("scheme", [
+        UnitWeights(),
+        ExpertRule(threshold=0.8),
+        LogOdds(clamp=1e-3),
+        BoundedPoly(W=10.0, k=2),
+        StochasticPoly(W=50.0, k=2, sigma_w=1.5),
+    ], ids=lambda s: s.kind)
+    def test_round_trip(self, scheme):
+        cfg = small_config(scheme=scheme)
+        back = config_from_dict(config_to_dict(cfg))
+        assert back == cfg
+        assert type(back.scheme) is type(scheme)
+
+    def test_unknown_tally_mode_rejected(self):
+        with pytest.raises(ValueError, match="tally_mode"):
+            small_config(tally_mode="exact_typo")
+
+    def test_replica_floor(self):
+        with pytest.raises(ValueError, match="replicas"):
+            small_config(replicas=5)
+
+
+# config_hash of JSON docs with integer-valued scheme fields, recorded
+# before schemes coerced their own numeric fields
+HASH_PINS = (
+    ({"kind": "bounded_poly", "W": 10, "k": 2}, "cfcf8ab4059f0459"),
+    ({"kind": "stochastic", "W": 100, "k": 2, "sigma_w": 2}, "c1ccc935c78e4f21"),
+    ({"kind": "expert", "threshold": 1}, "ad5ddd45d313f6f9"),
+    ({"kind": "log_odds"}, "ce10194b65b421ed"),
+)
+
+
+class TestSchemeSerialization:
+    @pytest.mark.parametrize(
+        "scheme_doc,expected", HASH_PINS, ids=[d["kind"] for d, _ in HASH_PINS]
+    )
+    def test_config_hash_pinned(self, scheme_doc, expected):
+        doc = {
+            "measure": {"pieces": [[0.0, 1.0, 1.0, 0.0]], "atoms": []},
+            "scheme": scheme_doc,
+            "n_grid": [5, 9, 13],
+            "profiles_per_n": 10,
+        }
+        assert config_hash(config_from_dict(doc)) == expected
+
+    def test_scheme_to_dict_floats(self):
+        assert scheme_to_dict(scheme_from_dict({"kind": "bounded_poly", "W": 10, "k": 2})) == {
+            "kind": "bounded_poly", "W": 10.0, "k": 2,
+        }
+        assert scheme_to_dict(scheme_from_dict({"kind": "log_odds"})) == {
+            "kind": "log_odds", "clamp": 1e-6,
+        }
+        doc = scheme_to_dict(StochasticPoly(W=100, k=2.0, sigma_w=2))
+        assert doc == {"kind": "stochastic", "W": 100.0, "k": 2, "sigma_w": 2.0}
+        assert [type(doc[f]) for f in ("W", "k", "sigma_w")] == [float, int, float]
+
+    def test_equal_schemes_hash_equally(self):
+        a = small_config(scheme=BoundedPoly(W=10, k=2))
+        b = small_config(scheme=BoundedPoly(W=10.0, k=2))
+        assert a == b
+        assert config_hash(a) == config_hash(b)
+
+    def test_unknown_kind_or_field_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheme kind"):
+            scheme_from_dict({"kind": "bounded"})
+        with pytest.raises(TypeError):
+            scheme_from_dict({"kind": "unit", "W": 2.0})
 
 
 class TestRun:

@@ -1,10 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from jurylab.measure import MeasureSpec, atom_mass, lebesgue, moment
+from jurylab.measure import MeasureSpec, affine, atom_mass, lebesgue, moment
 from jurylab.profile import (
     C1Source,
     C2Source,
@@ -85,6 +86,41 @@ class TestGenerate:
         assert np.array_equal(generate(src, 3).competences, [0.9, 0.8, 0.7])
         with pytest.raises(ValueError):
             generate(ExplicitSource((0.9,)), 3)
+
+
+# SHA-256 prefixes of generate(source, n, seed=11).competences at
+# n = 1, 3, 101, recorded before each source carried its own `values`
+GENERATE_PINS = {
+    "iid_affine": ('3d156199e2e47667', '79a9d896506ff6b5', '9f647f71eadd2846'),
+    "iid_atom": ('b9e87c8b0eb4a484', 'e34ea08f7b73a8e6', '399360d77be2cd80'),
+    "explicit": ('af5570f5a1810b7a', '70037255a9604e78', '5e08c78440a449fd'),
+    "condorcet": ('b1da31546cd297bc', 'da54f1e7f0820574', '0baef7815f3715b2'),
+    "moa": ('4cfa5b42ca669328', '75c7e2477c75b7dc', '05ae1d6671ed3371'),
+    "c1": ('6c3c396ed6b5c36d', 'cc143326a2646c60', '1823609ec2fad116'),
+    "c2": ('6c3c396ed6b5c36d', '8423eadd63f4494b', 'e57e3cecdfbb86cd'),
+    # a prefix longer than n = 1 and 3: generation takes its first n bits
+    "c2_long_prefix": ('6c3c396ed6b5c36d', '68f962b48b11fe16', '0cddb6bd21fd6073'),
+}
+PINNED_SOURCES = {
+    "iid_affine": IidSource(affine(-1.0)),
+    "iid_atom": IidSource(TILTED_ATOM),
+    "explicit": ExplicitSource(tuple((i % 7) / 6 for i in range(101))),
+    "condorcet": CondorcetSource(0.1),
+    "moa": MoaSource(0.3),
+    "c1": C1Source(-0.3),
+    "c2": C2Source(),
+    "c2_long_prefix": C2Source((1, 0, 1, 1, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATE_PINS))
+def test_generate_pinned_bit_for_bit(name):
+    digests = tuple(
+        hashlib.sha256(generate(PINNED_SOURCES[name], n, seed=11).competences.tobytes())
+        .hexdigest()[:16]
+        for n in (1, 3, 101)
+    )
+    assert digests == GENERATE_PINS[name]
 
 
 class TestProfileValidation:

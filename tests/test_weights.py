@@ -172,6 +172,27 @@ class TestMomentCriterion:
         assert deviations[-1] < 1e-8
 
 
+class TestSchemeInterface:
+    SCHEMES = (UnitWeights(), ExpertRule(0.8), LogOdds(), BoundedPoly(W=10.0, k=2), T43)
+
+    def test_registry_kinds(self):
+        assert {k: cls.kind for k, cls in weights.SCHEMES.items()} == {
+            k: k for k in ("unit", "expert", "log_odds", "bounded_poly", "stochastic")
+        }
+        assert [s.stochastic for s in self.SCHEMES] == [False] * 4 + [True]
+
+    @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.kind)
+    def test_weight_keeps_shape(self, scheme):
+        p = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        w = scheme.weight(p)
+        assert w.shape == (3, 4)
+        assert np.array_equal(w.ravel(), [deterministic_weight(scheme, v) for v in p.ravel()])
+
+    def test_stochastic_deterministic_part(self):
+        p = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(T43.weight(p), BoundedPoly(W=T43.W, k=T43.k).weight(p))
+
+
 class TestSampleWeight:
     def test_bounds_one_million(self):
         rng = generator(4)
@@ -182,17 +203,17 @@ class TestSampleWeight:
 
     def test_vanishing_noise(self):
         scheme = StochasticPoly(W=10.0, k=1, sigma_w=1e-9)
-        w = sample_weight(scheme, 0.3, generator(1), size=200)
+        w = sample_weight(scheme, np.full(200, 0.3), generator(1))
         assert np.max(np.abs(w - 3.7)) < 1e-6
 
     def test_floor_at_p_zero(self):
         scheme = StochasticPoly(W=10.0, k=1, sigma_w=2.0)
-        w = sample_weight(scheme, 0.0, generator(2), size=100_000)
+        w = sample_weight(scheme, np.full(100_000, 0.0), generator(2))
         assert w.min() >= 1.0
 
     def test_symmetric_truncation_mean(self):
         scheme = StochasticPoly(W=10.0, k=1, sigma_w=2.0)
-        w = sample_weight(scheme, 0.5, generator(3), size=1_000_000)
+        w = sample_weight(scheme, np.full(1_000_000, 0.5), generator(3))
         se = w.std() / 1000.0
         assert abs(w.mean() - 5.5) <= 3.0 * se
 

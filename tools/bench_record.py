@@ -10,10 +10,11 @@ which side goes first, so both sides see the same hour of the host, and
 the file counts the pairs the change won.  One traced run per side of
 `large_exact` and of `small_committees` gives the mean milliseconds per
 `majority_prob_exact` call at every traced size (`tally.exact_ms.n*`).
-The file also names the host and its CPU model, Python, numpy, scipy
-and each side's git commit and source digest.  Nothing under `bench/` is
-changed; traced runs write their spans to each checkout's `bench/out/`,
-as they always do.
+The file also names the host and its CPU (model name, family, model,
+stepping and the avx512f flag), Python, numpy, scipy and each side's
+git commit and source digest.  Nothing under `bench/` is changed;
+traced runs write their spans to each checkout's `bench/out/`, as they
+always do.
 """
 
 from __future__ import annotations
@@ -74,17 +75,27 @@ def provenance(checkout: Path) -> dict:
     }
 
 
-def cpu_model() -> str | None:
-    """The first `model name` of /proc/cpuinfo, where it exists: the cost
-    of subnormal arithmetic, for one, depends on the microarchitecture."""
+def cpu_info() -> dict:
+    """The first CPU's `model name`, `cpu family`, `model` and `stepping`
+    lines of /proc/cpuinfo, and whether its flags include avx512f, where
+    the file exists: the cost of subnormal arithmetic, for one, depends
+    on the microarchitecture, which a bare model name may not say."""
+    keys = {"model name": "cpu_model", "cpu family": "cpu_family", "model": "cpu_model_number",
+            "stepping": "cpu_stepping"}
+    info = dict.fromkeys([*keys.values(), "avx512f"])
     try:
         with open("/proc/cpuinfo") as f:
             for line in f:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
+                key, _, value = (part.strip() for part in line.partition(":"))
+                if not key:  # a blank line ends the first CPU's block
+                    break
+                if key in keys:
+                    info[keys[key]] = value if key == "model name" else int(value)
+                elif key == "flags":
+                    info["avx512f"] = "avx512f" in value.split()
+    except (OSError, ValueError):
         pass
-    return None
+    return info
 
 
 def summarise(runs: list[dict]) -> dict:
@@ -136,7 +147,7 @@ def main(argv=None) -> int:
         "host": {
             "machine": platform.machine(),
             "processor": platform.processor() or None,
-            "cpu_model": cpu_model(),
+            **cpu_info(),
             "cpus": os.cpu_count(),
             "system": platform.platform(),
         },
