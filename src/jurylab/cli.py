@@ -71,7 +71,7 @@ def _cmd_tally(args: argparse.Namespace) -> int:
         est = tally.weighted_majority_prob(
             profile, w, mode=args.mode, replicas=args.replicas, seed=args.seed
         )
-    elif args.mode in ("auto", "exact"):
+    elif args.mode == "auto":
         est = tally.majority_prob_exact(profile)
     else:
         est = tally.weighted_majority_prob(
@@ -175,14 +175,7 @@ def _cmd_walk(args: argparse.Namespace) -> int:
 
 def _cmd_divergence(args: argparse.Namespace) -> int:
     rep = div.divergences(_load_measure(args.p), _load_measure(args.q))
-    doc = {
-        "tv": rep.tv,
-        "kl": rep.kl,
-        "hellinger_affinity": rep.hellinger_affinity,
-        "hellinger_distance": rep.hellinger_distance,
-        "bhattacharyya": rep.bhattacharyya,
-    }
-    _write_or_print(json.dumps(doc), args.out)
+    _write_or_print(json.dumps(asdict(rep)), args.out)
     return 0
 
 
@@ -202,8 +195,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"wrote report.csv, report.json, report.svg to {out}")
     else:
         sys.stdout.write(csv_text)
-    for w in report.warnings:
-        print(f"warning: {w}", file=sys.stderr)
     if len(report.rows) >= 3:
         print(f"trend: {exp.classify_trend(report)}")
     return 0
@@ -225,29 +216,17 @@ def _scenario_shapley_grofman(args) -> None:
         print(f"{name:<9} {_fmt(est.value)}")
 
 
-def _scenario_theorem_3_2(args) -> None:
-    config = exp.ExperimentConfig(
-        measure=lebesgue(), scheme=wts.UnitWeights(), n_grid=(101, 1001, 10001),
-        profiles_per_n=200, seed=args.seed,
-    )
-    report = exp.run(config)
-    _print_report(report)
+def _unit_sweep(measure: MeasureSpec, profiles: int, high: float, low: float):
+    """A scenario printing the unit-weight experiment table at n = 101, 1001, 10001."""
 
+    def scenario(args) -> None:
+        config = exp.ExperimentConfig(
+            measure=measure, scheme=wts.UnitWeights(), n_grid=(101, 1001, 10001),
+            profiles_per_n=profiles, seed=args.seed, high=high, low=low,
+        )
+        _print_report(exp.run(config))
 
-def _scenario_theorem_3_7(args) -> None:
-    config = exp.ExperimentConfig(
-        measure=affine(1.0), scheme=wts.UnitWeights(), n_grid=(101, 1001, 10001),
-        profiles_per_n=100, seed=args.seed, high=0.999, low=0.001,
-    )
-    _print_report(exp.run(config))
-
-
-def _scenario_anti_cjp(args) -> None:
-    config = exp.ExperimentConfig(
-        measure=affine(-1.0), scheme=wts.UnitWeights(), n_grid=(101, 1001, 10001),
-        profiles_per_n=100, seed=args.seed, high=0.999, low=0.001,
-    )
-    _print_report(exp.run(config))
+    return scenario
 
 
 def _scenario_theorem_4_3(args) -> None:
@@ -298,9 +277,9 @@ def _print_report(report: exp.ExperimentReport) -> None:
 
 _SCENARIOS = {
     "shapley-grofman": _scenario_shapley_grofman,
-    "theorem-3-2": _scenario_theorem_3_2,
-    "theorem-3-7": _scenario_theorem_3_7,
-    "anti-cjp": _scenario_anti_cjp,
+    "theorem-3-2": _unit_sweep(lebesgue(), 200, 0.99, 0.01),
+    "theorem-3-7": _unit_sweep(affine(1.0), 100, 0.999, 0.001),
+    "anti-cjp": _unit_sweep(affine(-1.0), 100, 0.999, 0.001),
     "theorem-4-3": _scenario_theorem_4_3,
     "catalan-border": _scenario_catalan_border,
     "moa": _scenario_moa,
@@ -324,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile-file", default=None)
     p.add_argument("--weights", default=None, help="comma-separated weights")
     p.add_argument("--weights-file", default=None)
-    p.add_argument("--mode", choices=("auto", "exact", "brute", "mc"), default="auto")
+    p.add_argument("--mode", choices=tally.MODES, default="auto")
     p.add_argument("--replicas", type=int, default=10_000)
     p.add_argument("--out", default=None)
 

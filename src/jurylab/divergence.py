@@ -331,15 +331,13 @@ def kakutani_criterion(
     perturbations: Iterable[MeasureSpec],
     divergence_choice: Literal["tv", "kl", "bhattacharyya"] = "tv",
     horizon: int = 64,
-    sum_cap: float = 1e6,
-    tail_tol: float = 1e-3,
 ) -> KakutaniVerdict:
     """Finite-horizon summability diagnostics for sum_n d(nu_n, nu_0).
 
     The true dichotomy is asymptotic and cannot be decided at finite N;
     the verdict is `summable` when the partial sums have visibly
-    converged (tail test |s_N - s_{N/2}| < tail_tol * s_N), `diverging`
-    when the sums blow past `sum_cap`, when the terms stop decaying, or
+    converged (tail test |s_N - s_{N/2}| < 1e-3 s_N), `diverging`
+    when the sums blow past 1e6, when the terms stop decaying, or
     when a perturbation fails absolute continuity, and `inconclusive`
     otherwise.  Hellinger-affinity partial products are reported
     alongside.
@@ -366,9 +364,9 @@ def kakutani_criterion(
     s_n = float(sums[-1])
     s_half = float(sums[n // 2 - 1])
     a_n, a_half = terms[-1], terms[n // 2 - 1]
-    if s_n == 0.0 or abs(s_n - s_half) < tail_tol * s_n:
+    if s_n == 0.0 or abs(s_n - s_half) < 1e-3 * s_n:
         diagnosis = "summable"
-    elif s_n > sum_cap or (a_n > 0.0 and a_n >= (1.0 - tail_tol) * a_half):
+    elif s_n > 1e6 or (a_n > 0.0 and a_n >= (1.0 - 1e-3) * a_half):
         diagnosis = "diverging"
     else:
         diagnosis = "inconclusive"

@@ -24,7 +24,7 @@ import numpy as np
 from . import streams
 from .measure import MeasureSpec, from_dict as measure_from_dict, to_dict as measure_to_dict
 from .profile import DegenerateProfileError, IidSource, Profile, generate, q_statistic
-from .tally import MAX_BRUTE_N, majority_prob_exact, weighted_majority_prob
+from .tally import MAX_BRUTE_N, MODES, majority_prob_exact, weighted_majority_prob
 from .weights import SCHEMES, WeightScheme, deterministic_weight, sample_weight
 
 __all__ = [
@@ -70,8 +70,10 @@ class ExperimentConfig:
             raise ValueError("need at least 10 profiles per n")
         if not 0.0 < self.low < self.high < 1.0:
             raise ValueError("need 0 < low < high < 1")
-        if self.tally_mode not in ("auto", "brute", "mc"):
-            raise ValueError(f"unknown tally_mode {self.tally_mode!r}")
+        if self.tally_mode not in MODES:
+            raise ValueError(f"unknown tally_mode {self.tally_mode!r}, expected one of {MODES}")
+        if self.tally_mode == "brute" and grid[-1] > MAX_BRUTE_N:
+            raise ValueError(f"tally_mode 'brute' enumerates at most n={MAX_BRUTE_N}, got {grid[-1]}")
         if self.replicas < 100:
             raise ValueError("need at least 100 replicas")
 
@@ -92,13 +94,10 @@ class ExperimentReport:
     rows: tuple[ExperimentRow, ...]
     config_hash: str
     seed: int
-    warnings: tuple[str, ...] = ()
 
 
-def _profile_outcome(
-    config: ExperimentConfig, n: int, j: int
-) -> tuple[float, float, float, str, str | None]:
-    """(win, q, drift, method, warning) for profile j of size n."""
+def _profile_outcome(config: ExperimentConfig, n: int, j: int) -> tuple[float, float, float, str]:
+    """(win, q, drift, method) for profile j of size n."""
     prof_seed = streams.stream_key(config.seed, _PROFILE_TAG, n, j)
     profile = generate(IidSource(config.measure), n, seed=prof_seed)
     p = profile.competences
@@ -108,7 +107,6 @@ def _profile_outcome(
         q = float("nan")
 
     scheme = config.scheme
-    warning = None
     if scheme.stochastic:
         rng = streams.generator(config.seed, _WEIGHT_TAG, n, j)
         w = np.asarray(sample_weight(scheme, p, rng))
@@ -125,34 +123,26 @@ def _profile_outcome(
         win = 0.0
         method = "degenerate"
     else:
-        mode = config.tally_mode
-        if mode == "brute" and n > MAX_BRUTE_N:
-            warning = f"n={n}: brute force infeasible, rerouted to monte carlo"
-            mode = "mc"
         est = weighted_majority_prob(
-            profile, w, mode=mode, replicas=config.replicas,
+            profile, w, mode=config.tally_mode, replicas=config.replicas,
             seed=streams.stream_key(config.seed, _WEIGHT_TAG, n, j, 1),
         )
         win = est.value
         method = est.method
     drift = float(np.mean(w * (2.0 * p - 1.0)))
-    return win, q, drift, method, warning
+    return win, q, drift, method
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
     """Evaluate the config; deterministic for a given seed (profiles own
     independent substreams)."""
     rows = []
-    warnings: list[str] = []
     for n in config.n_grid:
         outcomes = [_profile_outcome(config, n, j) for j in range(config.profiles_per_n)]
         wins = np.array([o[0] for o in outcomes])
         qs = np.array([o[1] for o in outcomes])
         drifts = np.array([o[2] for o in outcomes])
         methods = {o[3] for o in outcomes}
-        for o in outcomes:
-            if o[4] and o[4] not in warnings:
-                warnings.append(o[4])
         rows.append(
             ExperimentRow(
                 n=n,
@@ -164,12 +154,7 @@ def run(config: ExperimentConfig) -> ExperimentReport:
                 method="+".join(sorted(methods)),
             )
         )
-    return ExperimentReport(
-        rows=tuple(rows),
-        config_hash=config_hash(config),
-        seed=config.seed,
-        warnings=tuple(warnings),
-    )
+    return ExperimentReport(rows=tuple(rows), config_hash=config_hash(config), seed=config.seed)
 
 
 def classify_trend(report: ExperimentReport) -> str:
@@ -253,15 +238,14 @@ def report_to_json(report: ExperimentReport) -> str:
     doc = {
         "seed": report.seed,
         "config_hash": report.config_hash,
-        "warnings": list(report.warnings),
         "rows": [{f: getattr(r, f) for f in _ROW_FIELDS} for r in report.rows],
     }
     return json.dumps(doc, indent=2)
 
 
-def report_to_svg(report: ExperimentReport, width: int = 640, height: int = 400) -> str:
-    """Plain polyline chart of the high/low fractions against n."""
-    pad = 50
+def report_to_svg(report: ExperimentReport) -> str:
+    """Plain 640 by 400 polyline chart of the high/low fractions against n."""
+    width, height, pad = 640, 400, 50
     ns = [r.n for r in report.rows]
     xs = np.log10(np.asarray(ns, dtype=float))
     x0, x1 = float(xs.min()), float(xs.max())

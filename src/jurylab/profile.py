@@ -304,8 +304,8 @@ def condition_report(
     )
 
 
-def geometric_checkpoints(n0: int, n_max: int, factor: float = 2.0) -> tuple[int, ...]:
-    """Odd checkpoints n0, ~n0*factor, ... capped at n_max."""
+def geometric_checkpoints(n0: int, n_max: int) -> tuple[int, ...]:
+    """Odd checkpoints n0, ~2 n0, ~4 n0, ... capped at n_max."""
     if n0 < 1 or n0 % 2 == 0:
         raise ValueError("n0 must be odd and positive")
     out = []
@@ -318,5 +318,5 @@ def geometric_checkpoints(n0: int, n_max: int, factor: float = 2.0) -> tuple[int
             out.append(k)
         if k >= n_max - 1:
             break
-        x *= factor
+        x *= 2.0
     return tuple(out)

@@ -36,19 +36,18 @@ def integrate(
     b: float,
     order: int = 20,
     abs_tol: float = 1e-13,
-    max_depth: int = 48,
 ) -> tuple[float, bool]:
     """Adaptive bisection: refine a panel until the split agrees with it.
 
     abs_tol is an absolute target for the whole interval; each split
     halves the budget so the recursion cannot over-spend it.  Returns
     (value, converged); converged is False when any panel reached
-    max_depth with its halves still disagreeing by more than its budget.
+    depth 48 with its halves still disagreeing by more than its budget.
     """
     if not b > a:
         return 0.0, True
     whole = gl_panel(f, a, b, order)
-    return _refine(f, a, b, whole, order, abs_tol, max_depth)
+    return _refine(f, a, b, whole, order, abs_tol, 48)
 
 
 def _refine(f, a, b, whole, order, budget, depth) -> tuple[float, bool]:

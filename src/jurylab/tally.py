@@ -62,10 +62,13 @@ __all__ = [
     "proposition41_bound",
     "MAX_EXACT_N",
     "MAX_BRUTE_N",
+    "MODES",
 ]
 
 MAX_EXACT_N = 200_001
 MAX_BRUTE_N = 31
+# weighted_majority_prob's modes; "auto" enumerates up to MAX_BRUTE_N, else Monte Carlo
+MODES = ("auto", "brute", "mc")
 _REPLICA_TAG = 0x4D43
 # entries per Monte Carlo block: the draws and their comparisons stay in cache
 _MC_BLOCK = 1 << 16
@@ -334,6 +337,15 @@ def _monte_carlo_weighted(
     return monte_carlo_estimate(wins, replicas)
 
 
+def _checked_weights(profile: Profile, weights: np.ndarray | list[float]) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    if w.shape != profile.competences.shape:
+        raise ValueError(f"{len(w)} weights for {profile.n} voters")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    return w
+
+
 def weighted_majority_prob(
     profile: Profile,
     weights: np.ndarray | list[float],
@@ -346,14 +358,12 @@ def weighted_majority_prob(
     Ties count as failure; brute force also reports the tie mass.
     Weights may be zero (expert rules silence voters) or negative
     (log-odds weights reverse a worse-than-chance vote); at least one
-    must be nonzero.
+    must be nonzero.  `mode` is one of MODES.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     ps = profile.competences
-    w = np.asarray(weights, dtype=float)
-    if w.shape != ps.shape:
-        raise ValueError(f"{len(w)} weights for {len(ps)} voters")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
+    w = _checked_weights(profile, weights)
     if not np.any(w != 0.0):
         raise ValueError("at least one weight must be nonzero")
     if mode == "brute" and profile.n > MAX_BRUTE_N:
@@ -362,20 +372,16 @@ def weighted_majority_prob(
         mode = "brute" if profile.n <= MAX_BRUTE_N else "mc"
     if mode == "brute":
         return _brute_force_weighted(ps, w)
-    if mode == "mc":
-        if replicas < 100:
-            raise ValueError("at least 100 replicas required")
-        return _monte_carlo_weighted(ps, w, int(replicas), seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    if replicas < 100:
+        raise ValueError("at least 100 replicas required")
+    return _monte_carlo_weighted(ps, w, int(replicas), seed)
 
 
 def proposition41_bound(profile: Profile, weights: np.ndarray | list[float]) -> float:
     """Chebyshev bound 4*sum(w^2 p q) / (sum w (p - q))^2 on the loss
     probability of the weighted rule; requires positive drift."""
     ps = profile.competences
-    w = np.asarray(weights, dtype=float)
-    if w.shape != ps.shape:
-        raise ValueError(f"{len(w)} weights for {len(ps)} voters")
+    w = _checked_weights(profile, weights)
     drift = float(np.sum(w * (2.0 * ps - 1.0)))
     if drift <= 0.0:
         raise ValueError("nonpositive drift: the bound is not applicable")

@@ -280,22 +280,20 @@ def moment_criterion(spec: MeasureSpec, k: int) -> float:
     return 2.0 * moment(spec, k + 1) - moment(spec, k)
 
 
-def find_k(spec: MeasureSpec, k_max: int = 64) -> int | None:
-    """Smallest k <= k_max with moment_criterion(spec, k) > 1e-12."""
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    for k in range(1, k_max + 1):
+def find_k(spec: MeasureSpec) -> int | None:
+    """Smallest k <= 64 with moment_criterion(spec, k) > 1e-12."""
+    for k in range(1, 65):
         if moment_criterion(spec, k) > 1e-12:
             return k
     return None
 
 
-def drift(spec: MeasureSpec, scheme: StochasticPoly, order: int = 64) -> float:
+def drift(spec: MeasureSpec, scheme: StochasticPoly) -> float:
     """Per-voter limit of (1/n) sum w_i (p_i - q_i) under the scheme.
 
     Closed-form moments carry the deterministic part; the error term
-    E[(2p-1) E(eps|p)] is integrated by adaptive Gauss-Legendre panels
-    against the density and summed exactly over atoms.  The truncation
+    E[(2p-1) E(eps|p)] is integrated by adaptive order-64 Gauss-Legendre
+    panels against the density and summed exactly over atoms.  The truncation
     interval is the scheme's own (1 - w_d, W - w_d), so this limit is
     exactly what sampled weights average to.  A piece whose quadrature
     stops at its depth limit without converging raises a RuntimeWarning
@@ -311,7 +309,7 @@ def drift(spec: MeasureSpec, scheme: StochasticPoly, order: int = 64) -> float:
 
     err_term = 0.0
     for lo, hi, _, _ in spec.pieces:
-        value, converged = integrate(integrand, lo, hi, order=order, abs_tol=1e-12)
+        value, converged = integrate(integrand, lo, hi, order=64, abs_tol=1e-12)
         if not converged:
             warnings.warn(
                 f"drift: quadrature on piece [{lo}, {hi}] stopped at its depth limit "

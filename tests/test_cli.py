@@ -5,6 +5,7 @@ import pytest
 
 from jurylab.cli import main
 from jurylab.measure import affine, lebesgue, to_json
+from jurylab.tally import MODES
 
 
 @pytest.fixture
@@ -43,6 +44,17 @@ class TestTally:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert main(["tally", "--profile", "0.6", "--bogus", "1"]) == 1
+
+    @pytest.mark.parametrize("weights", [[], ["--weights", "1,2,1"]], ids=["unit", "weighted"])
+    @pytest.mark.parametrize("mode", MODES + ("exact", "Auto", "monte_carlo", ""))
+    def test_mode_choices_are_the_tally_modes(self, mode, weights, capsys):
+        argv = ["tally", "--profile", "0.6,0.7,0.8", *weights, "--mode", mode, "--replicas", "100"]
+        if mode in MODES:
+            assert main(argv) == 0
+            assert 0.0 < json.loads(capsys.readouterr().out)["value"] < 1.0
+        else:
+            assert main(argv) == 1
+            assert "invalid choice" in capsys.readouterr().err
 
 
 class TestReproduce:
@@ -170,6 +182,12 @@ class TestExperiment:
         for name in ("report.csv", "report.json", "report.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert (out1 / "report.csv").read_text().startswith("# seed=7")
+
+    def test_brute_above_the_enumeration_cap_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self._config_doc() | {"tally_mode": "brute"}))
+        assert main(["experiment", "--config", str(cfg)]) == 1
+        assert "brute" in capsys.readouterr().err
 
     def test_stdout_mode(self, tmp_path, capsys):
         cfg = tmp_path / "config.json"

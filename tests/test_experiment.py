@@ -18,7 +18,7 @@ from jurylab.experiment import (
     scheme_to_dict,
 )
 from jurylab.measure import affine, lebesgue
-from jurylab.tally import MAX_BRUTE_N
+from jurylab.tally import MAX_BRUTE_N, MODES
 from jurylab.weights import (
     BoundedPoly,
     ExpertRule,
@@ -74,6 +74,20 @@ class TestConfigValidation:
     def test_replica_floor(self):
         with pytest.raises(ValueError, match="replicas"):
             small_config(replicas=5)
+
+    @pytest.mark.parametrize("mode", MODES + ("exact", "Auto", "monte_carlo", ""))
+    def test_accepts_exactly_the_tally_modes(self, mode):
+        if mode in MODES:
+            assert small_config(tally_mode=mode, n_grid=(11, 31)).tally_mode == mode
+        else:
+            with pytest.raises(ValueError, match="tally_mode"):
+                small_config(tally_mode=mode, n_grid=(11, 31))
+
+    def test_brute_above_the_enumeration_cap_rejected(self):
+        # brute means exact enumeration, as in tally: refused, not rerouted
+        small_config(tally_mode="brute", n_grid=(11, MAX_BRUTE_N))
+        with pytest.raises(ValueError, match="brute"):
+            small_config(tally_mode="brute", n_grid=(11, 101))
 
 
 # config_hash of JSON docs with integer-valued scheme fields, recorded
@@ -166,15 +180,6 @@ class TestRun:
         assert report.rows[0].drift_estimate == pytest.approx(closed, rel=0.05)
         assert report.rows[0].method == "monte_carlo"
 
-    def test_infeasible_brute_rerouted_with_warning(self):
-        cfg = small_config(
-            scheme=LogOdds(), n_grid=(101,), profiles_per_n=10,
-            tally_mode="brute", replicas=500,
-        )
-        report = run(cfg)
-        assert report.rows[0].method == "monte_carlo"
-        assert any("rerouted" in w for w in report.warnings)
-
     def test_unequal_deterministic_weights_small_n_use_brute(self):
         cfg = small_config(scheme=LogOdds(), n_grid=(11,), profiles_per_n=10)
         report = run(cfg)
@@ -188,7 +193,6 @@ class TestRun:
         )
         report = run(cfg)
         assert [r.method for r in report.rows] == ["brute_force", "monte_carlo"]
-        assert report.warnings == ()
 
 
 class TestClassifyTrend:
@@ -226,6 +230,7 @@ class TestReportOutputs:
     def test_json_mirrors_csv(self):
         report = run(small_config(n_grid=(101, 301), profiles_per_n=10))
         doc = json.loads(report_to_json(report))
+        assert set(doc) == {"seed", "config_hash", "rows"}
         assert doc["config_hash"] == report.config_hash
         assert len(doc["rows"]) == 2
         assert doc["rows"][0]["n"] == 101

@@ -16,7 +16,7 @@ class TestIntegrate:
     def test_depth_limit_reported(self):
         # a jump at an irrational point never lands on a panel edge
         value, converged = integrate(
-            lambda x: np.where(x < 1.0 / np.sqrt(2.0), 0.0, 1.0), 0.0, 1.0, max_depth=2
+            lambda x: np.where(x < 1.0 / np.sqrt(2.0), 0.0, 1.0), 0.0, 1.0
         )
         assert converged is False
         assert value == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), abs=0.05)

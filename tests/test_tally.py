@@ -18,6 +18,7 @@ from jurylab.profile import ExplicitSource, IidSource, Profile, generate
 from jurylab.tally import (
     MAX_BRUTE_N,
     MAX_EXACT_N,
+    MODES,
     anti_majority_prob_exact,
     majority_prob_exact,
     monte_carlo_estimate,
@@ -448,6 +449,15 @@ class TestWeightedMajority:
         b = weighted_majority_prob(prof, [1] * 5, mode="mc", replicas=5000, seed=9)
         assert a.value == b.value
 
+    @pytest.mark.parametrize("mode", MODES + ("exact", "Auto", "monte_carlo", ""))
+    def test_accepts_exactly_the_modes(self, mode):
+        if mode in MODES:
+            est = weighted_majority_prob(explicit(SG), [1, 2, 1, 1, 1], mode=mode, replicas=100)
+            assert 0.0 < est.value < 1.0
+        else:
+            with pytest.raises(ValueError, match="mode"):
+                weighted_majority_prob(explicit(SG), [1, 2, 1, 1, 1], mode=mode)
+
     def test_auto_mode_selection(self):
         small = weighted_majority_prob(explicit(SG), [1] * 5, mode="auto")
         assert small.method == "brute_force"
@@ -577,6 +587,14 @@ class TestProposition41Bound:
         assert proposition41_bound(explicit(SG), [1.0] * 5) == pytest.approx(
             3.6 / 4.84, abs=1e-12
         )
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_weights_rejected(self, bad):
+        # the same weight checks as weighted_majority_prob
+        with pytest.raises(ValueError, match="finite"):
+            proposition41_bound(explicit([0.8, 0.7, 0.6]), [bad, 1.0, 1.0])
+        with pytest.raises(ValueError, match="weights"):
+            proposition41_bound(explicit([0.8, 0.7, 0.6]), [1.0, 1.0])
 
     def test_nonpositive_drift_not_applicable(self):
         with pytest.raises(ValueError, match="drift"):

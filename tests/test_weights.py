@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 import jurylab
 from jurylab import weights
@@ -96,7 +96,12 @@ class TestTruncatedNormalMean:
         v = truncated_normal_mean(TruncatedGaussianSpec(1.0, 30.0, 38.0))
         assert v == pytest.approx(30.0 + 1.0 / 30.0, abs=1e-3)
 
-    def test_matches_monte_carlo(self):
+    def test_matches_quadrature(self):
+        # sigma * int z phi(z) / int phi(z) over (a/sigma, b/sigma); these
+        # tolerances raise no IntegrationWarning on any of the 50 cases
+        def phi(z):
+            return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
         rng = np.random.default_rng(8)
         cases = [(1.0, -1.0, 1.0), (1.0, 0.0, math.inf), (0.5, -0.3, 2.0)]
         for _ in range(47):
@@ -106,10 +111,12 @@ class TestTruncatedNormalMean:
             cases.append((sigma, a, b))
         for sigma, a, b in cases:
             analytic = truncated_normal_mean(TruncatedGaussianSpec(sigma, a, b))
-            u = generator(hash((sigma, a, b)) & 0xFFFF).random(1_000_000)
-            draws = sigma * stats.truncnorm.ppf(u, a / sigma, b / sigma)
-            se = draws.std() / 1000.0
-            assert abs(draws.mean() - analytic) <= 3.0 * se + 1e-12
+            lo, hi = a / sigma, b / sigma
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                num = integrate.quad(lambda z: z * phi(z), lo, hi, epsabs=1e-13, epsrel=1e-12)[0]
+                den = integrate.quad(phi, lo, hi, epsabs=0.0, epsrel=1e-12)[0]
+            assert abs(sigma * num / den - analytic) <= 1e-12 * sigma
 
 
 class TestFFunction:
@@ -160,7 +167,7 @@ class TestMomentCriterion:
 
     def test_find_k_none_when_no_upper_mass(self):
         low = MeasureSpec(pieces=((0.0, 0.5, 2.0, 0.0),))
-        assert find_k(low, k_max=40) is None
+        assert find_k(low) is None
 
     def test_scaled_criterion_dominated_by_mass_at_one(self):
         mix = MeasureSpec(atoms=((0.3, 0.7), (1.0, 0.3)))
@@ -255,11 +262,6 @@ class TestDrift:
             drift(DOWN, StochasticPoly(W=w, k=2, sigma_w=2.0)) for w in (5.0, 10.0, 25.0, 100.0)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_quadrature_order_stability(self):
-        assert drift(DOWN, T43, order=64) == pytest.approx(
-            drift(DOWN, T43, order=128), abs=1e-9
-        )
 
     def test_converged_quadrature_is_silent(self):
         with warnings.catch_warnings():
