@@ -2,13 +2,21 @@
 
 A config fixes a competence measure, a weight scheme, a grid of odd
 electorate sizes and a number of iid profiles per size.  Each profile
-gets a win probability (exact Poisson-binomial for equal deterministic
-weights, enumeration or Monte Carlo otherwise) and the per-n rows
-summarize how often the rule is nearly perfect (win > high), nearly
-always wrong (win < low), the median win probability, the mean drift
-statistic and the realized per-voter weighted drift.  Almost-sure
+gets a win probability (under tally_mode "auto": exact Poisson-binomial
+for equal positive weights, enumeration or Monte Carlo otherwise; "brute"
+and "mc" force enumeration or Monte Carlo for every scheme) and the
+per-n rows summarize how often the rule is nearly perfect (win > high),
+nearly always wrong (win < low), the median win probability, the mean
+drift statistic and the realized per-voter weighted drift.  Almost-sure
 claims are thereby replaced with sampled-profile frequencies at finite
 n; the numbers are desk-scale evidence, not proofs.
+
+The profiles of one size are drawn together, by one `generate` call per
+chunk of at most _CHUNK competences; every profile still owns its
+substream, so the values are those of one call per profile.  Weights
+and tallies stay one call per profile (a stochastic scheme draws each
+profile's weights from that profile's own generator); the drift
+statistic and the weighted drift are row reductions over the chunk.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 
 from . import streams
 from .measure import MeasureSpec, from_dict as measure_from_dict, to_dict as measure_to_dict
-from .profile import DegenerateProfileError, IidSource, Profile, generate, q_statistic
+from .profile import IidSource, Profile, generate, q_statistics
 from .tally import MAX_BRUTE_N, MODES, majority_prob_exact, weighted_majority_prob
 from .weights import SCHEMES, WeightScheme, deterministic_weight, sample_weight
 
@@ -45,6 +53,11 @@ __all__ = [
 
 _PROFILE_TAG = 0xE41
 _WEIGHT_TAG = 0xE42
+# competences per `generate` call (profiles times n).  The inversion's
+# temporaries on a chunk this size stay below the exact tally's own peak
+# at n = 20001, so a sweep holds no more at once than it did drawing one
+# profile per call; a profile longer than this is drawn alone.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -96,16 +109,9 @@ class ExperimentReport:
     seed: int
 
 
-def _profile_outcome(config: ExperimentConfig, n: int, j: int) -> tuple[float, float, float, str]:
-    """(win, q, drift, method) for profile j of size n."""
-    prof_seed = streams.stream_key(config.seed, _PROFILE_TAG, n, j)
-    profile = generate(IidSource(config.measure), n, seed=prof_seed)
-    p = profile.competences
-    try:
-        q = q_statistic(profile)
-    except DegenerateProfileError:
-        q = float("nan")
-
+def _profile_outcome(config: ExperimentConfig, profile: Profile, j: int) -> tuple[np.ndarray, float, str]:
+    """(weights, win, method) for profile j of its size."""
+    n, p = profile.n, profile.competences
     scheme = config.scheme
     if scheme.stochastic:
         rng = streams.generator(config.seed, _WEIGHT_TAG, n, j)
@@ -113,36 +119,46 @@ def _profile_outcome(config: ExperimentConfig, n: int, j: int) -> tuple[float, f
     else:
         w = np.asarray(deterministic_weight(scheme, p), dtype=float)
 
-    equal_weights = bool(np.all(w == w[0]) and w[0] > 0.0)
-    if equal_weights:
-        win = majority_prob_exact(profile).value
-        method = "exact_dp"
-    elif not np.any(w != 0.0):
+    if config.tally_mode == "auto" and np.all(w == w[0]) and w[0] > 0.0:
+        return w, majority_prob_exact(profile).value, "exact_dp"
+    if not np.any(w != 0.0):
         # e.g. an expert threshold nobody clears: the tally is always a
         # zero tie, which counts as a loss
-        win = 0.0
-        method = "degenerate"
-    else:
-        est = weighted_majority_prob(
-            profile, w, mode=config.tally_mode, replicas=config.replicas,
-            seed=streams.stream_key(config.seed, _WEIGHT_TAG, n, j, 1),
-        )
-        win = est.value
-        method = est.method
-    drift = float(np.mean(w * (2.0 * p - 1.0)))
-    return win, q, drift, method
+        return w, 0.0, "degenerate"
+    est = weighted_majority_prob(
+        profile, w, mode=config.tally_mode, replicas=config.replicas,
+        seed=streams.stream_key(config.seed, _WEIGHT_TAG, n, j, 1),
+    )
+    return w, est.value, est.method
+
+
+def _chunk_outcomes(
+    config: ExperimentConfig, source: IidSource, n: int, js: range
+) -> tuple[list[float], np.ndarray, np.ndarray, set[str]]:
+    """(wins, q, drifts, methods) of profiles js of size n, drawn by one
+    `generate` call; q and drifts are row reductions over the chunk."""
+    seeds = [streams.stream_key(config.seed, _PROFILE_TAG, n, j) for j in js]
+    profiles = generate(source, n, seeds)
+    outcomes = [_profile_outcome(config, prof, j) for prof, j in zip(profiles, js)]
+    p = np.stack([prof.competences for prof in profiles])
+    w = np.stack([o[0] for o in outcomes])
+    drifts = np.mean(w * (2.0 * p - 1.0), axis=1)
+    return [o[1] for o in outcomes], q_statistics(p), drifts, {o[2] for o in outcomes}
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
     """Evaluate the config; deterministic for a given seed (profiles own
     independent substreams)."""
+    source = IidSource(config.measure)
     rows = []
     for n in config.n_grid:
-        outcomes = [_profile_outcome(config, n, j) for j in range(config.profiles_per_n)]
-        wins = np.array([o[0] for o in outcomes])
-        qs = np.array([o[1] for o in outcomes])
-        drifts = np.array([o[2] for o in outcomes])
-        methods = {o[3] for o in outcomes}
+        per_call = max(1, _CHUNK // n)
+        chunks = [
+            _chunk_outcomes(config, source, n, range(lo, min(lo + per_call, config.profiles_per_n)))
+            for lo in range(0, config.profiles_per_n, per_call)
+        ]
+        wins = np.concatenate([c[0] for c in chunks])
+        qs = np.concatenate([c[1] for c in chunks])
         rows.append(
             ExperimentRow(
                 n=n,
@@ -150,8 +166,8 @@ def run(config: ExperimentConfig) -> ExperimentReport:
                 frac_low=float(np.mean(wins < config.low)),
                 median_win=float(np.median(wins)),
                 mean_q=float(np.nanmean(qs)) if not np.all(np.isnan(qs)) else float("nan"),
-                drift_estimate=float(np.mean(drifts)),
-                method="+".join(sorted(methods)),
+                drift_estimate=float(np.mean(np.concatenate([c[2] for c in chunks]))),
+                method="+".join(sorted(set().union(*(c[3] for c in chunks)))),
             )
         )
     return ExperimentReport(rows=tuple(rows), config_hash=config_hash(config), seed=config.seed)

@@ -5,7 +5,8 @@ analytic families used throughout the package: constant-edge voters,
 a mostly-uninformed electorate with a perfectly informed slice, slowly
 decaying boosts with average competence one half, and deterministic
 0/1 sequences.  Each source carries its own `values(n, seed)`: the
-first n competences of its sequence.  The diagnostics trace the two
+first n competences of its sequence, or for a sequence of k seeds a
+(k, n) array of them, one row per seed.  The diagnostics trace the two
 quantities that decide whether majority voting becomes reliable along
 a sequence: the drift statistic Q_k and the count of perfectly
 informed voters, plus their generalized per-index-mean versions and
@@ -14,6 +15,7 @@ Chebyshev bounds.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -35,12 +37,20 @@ __all__ = [
     "DegenerateProfileError",
     "generate",
     "q_statistic",
+    "q_statistics",
     "condition_two_holds",
     "condition_report",
     "geometric_checkpoints",
 ]
 
 _IID_TAG = 0x1D1D
+
+Seeds = Union[int, Sequence[int]]
+
+
+def _per_seed(row: np.ndarray, seed: Seeds) -> np.ndarray:
+    """A deterministic source's one row, repeated once per seed of a sequence."""
+    return row if np.ndim(seed) == 0 else np.tile(row, (len(seed), 1))
 
 
 @dataclass(frozen=True)
@@ -49,7 +59,11 @@ class IidSource:
 
     measure: MeasureSpec
 
-    def values(self, n: int, seed: int) -> np.ndarray:
+    def values(self, n: int, seed: Seeds) -> np.ndarray:
+        """Quantiles of the seed's substream uniforms: (n,) for one seed,
+        (k, n) for k seeds, drawn by one `uniforms` fill and inverted by
+        one `quantile` call.  Entry i of a row depends on that row's seed
+        and on i only."""
         u = streams.uniforms(seed, (_IID_TAG,), n)
         return np.asarray(quantile(self.measure, u), dtype=float)
 
@@ -66,10 +80,10 @@ class ExplicitSource:
         if any(not 0.0 <= p <= 1.0 for p in comp):
             raise ValueError("competences must lie in [0,1]")
 
-    def values(self, n: int, seed: int) -> np.ndarray:
+    def values(self, n: int, seed: Seeds) -> np.ndarray:
         if len(self.competences) < n:
             raise ValueError(f"explicit source has {len(self.competences)} < {n} entries")
-        return np.asarray(self.competences[:n], dtype=float)
+        return _per_seed(np.asarray(self.competences[:n], dtype=float), seed)
 
 
 @dataclass(frozen=True)
@@ -82,8 +96,8 @@ class CondorcetSource:
         if not 0.0 < self.eps <= 0.5:
             raise ValueError("eps must lie in (0, 1/2]")
 
-    def values(self, n: int, seed: int) -> np.ndarray:
-        return np.full(n, 0.5 + self.eps)
+    def values(self, n: int, seed: Seeds) -> np.ndarray:
+        return _per_seed(np.full(n, 0.5 + self.eps), seed)
 
 
 @dataclass(frozen=True)
@@ -96,10 +110,10 @@ class MoaSource:
         if not 0.0 < self.informed_fraction <= 1.0:
             raise ValueError("informed_fraction must lie in (0, 1]")
 
-    def values(self, n: int, seed: int) -> np.ndarray:
+    def values(self, n: int, seed: Seeds) -> np.ndarray:
         p = np.full(n, 0.5)
         p[:int(np.floor(self.informed_fraction * n))] = 1.0
-        return p
+        return _per_seed(p, seed)
 
 
 @dataclass(frozen=True)
@@ -117,9 +131,9 @@ class C1Source:
         if not -0.5 < self.alpha < 0.0:
             raise ValueError("alpha must lie in (-1/2, 0)")
 
-    def values(self, n: int, seed: int) -> np.ndarray:
+    def values(self, n: int, seed: Seeds) -> np.ndarray:
         i = np.arange(1, n + 1, dtype=float)
-        return 0.5 + np.minimum(i**self.alpha, 0.5)
+        return _per_seed(0.5 + np.minimum(i**self.alpha, 0.5), seed)
 
 
 @dataclass(frozen=True)
@@ -134,7 +148,7 @@ class C2Source:
         if any(v not in (0, 1) for v in pre):
             raise ValueError("prefix entries must be 0 or 1")
 
-    def values(self, n: int, seed: int) -> np.ndarray:
+    def values(self, n: int, seed: Seeds) -> np.ndarray:
         m = len(self.prefix)
         p = np.empty(n, dtype=float)
         p[:min(m, n)] = self.prefix[:n]
@@ -142,7 +156,7 @@ class C2Source:
         if tail > 0:
             j = np.arange(1, tail + 1)
             p[m:] = np.where(j == 1, 1.0, (j % 2 == 0).astype(float))
-        return p
+        return _per_seed(p, seed)
 
 
 ProfileSource = Union[IidSource, ExplicitSource, CondorcetSource, MoaSource, C1Source, C2Source]
@@ -176,26 +190,38 @@ def _require_odd(n: int) -> None:
         raise ValueError(f"voter count must be odd and positive, got {n}")
 
 
-def generate(source: ProfileSource, n: int, seed: int = 0) -> Profile:
+def generate(source: ProfileSource, n: int, seed: Seeds = 0) -> Profile | list[Profile]:
     """Deterministic profile of odd length n for (source, seed).
 
     The iid variant inverts the measure's CDF at per-index substream
     uniforms, so p_i depends on (seed, i) only and a longer profile
-    extends a shorter one.
+    extends a shorter one.  A sequence of seeds gives a list of
+    profiles, one per seed, drawn by one `source.values` call; each is
+    bit-identical to the profile its seed alone gives.
     """
     _require_odd(n)
-    return Profile(source.values(n, seed), source, seed)
+    if np.ndim(seed) == 0:
+        return Profile(source.values(n, seed), source, seed)
+    return [Profile(row, source, s) for row, s in zip(source.values(n, seed), seed)]
+
+
+def q_statistics(p: np.ndarray) -> np.ndarray:
+    """(sum p_i - n/2) / sqrt(sum p_i q_i) along the last axis of p, one
+    value per row; NaN for a row whose competences are all 0 or 1."""
+    pq = np.sum(p * (1.0 - p), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (np.sum(p, axis=-1) - 0.5 * p.shape[-1]) / np.sqrt(pq)
+    return np.where(pq > 0.0, q, np.nan)
 
 
 def q_statistic(profile: Profile) -> float:
     """(sum p_i - n/2) / sqrt(sum p_i q_i)."""
-    p = profile.competences
-    pq = float(np.sum(p * (1.0 - p)))
-    if pq <= 0.0:
+    q = float(q_statistics(profile.competences))
+    if np.isnan(q):
         raise DegenerateProfileError(
             "all competences are 0 or 1; fall back to the informed-count condition"
         )
-    return float((np.sum(p) - 0.5 * len(p)) / np.sqrt(pq))
+    return q
 
 
 def condition_two_holds(profile: Profile, n0: int = 1) -> bool:

@@ -12,9 +12,13 @@ mix(k + i * gamma) >> 11, and its uniform is that integer times 2^-53.
 Arrays are mixed in place, _BLOCK entries at a time, so the working set
 of a mixing pass stays in cache however large the request; `uniforms`
 converts each block into its float output from one reused integer block.
+`uniforms` also fills many streams at once, one row per seed, so the
+profiles of one size cost one pass, not one call each.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -54,6 +58,7 @@ def _fill_bits(out: np.ndarray, keys: np.ndarray, start: int) -> np.ndarray:
     idx = np.arange(start, start + out.shape[1], dtype=np.uint64)
     idx *= _GAMMA
     np.add(keys[:, None], idx[None, :], out=out)
+    del idx  # freed before the scratch block is taken
     flat = out.reshape(-1)
     scratch = np.empty(min(flat.size, _BLOCK), dtype=np.uint64)
     for lo in range(0, flat.size, _BLOCK):
@@ -71,19 +76,29 @@ def stream_key(seed: int, *path: int) -> int:
     return key
 
 
-def uniforms(seed: int, path: tuple[int, ...], count: int, start: int = 0) -> np.ndarray:
+def uniforms(
+    seed: int | Sequence[int], path: tuple[int, ...], count: int, start: int = 0
+) -> np.ndarray:
     """`count` uniforms in [0,1) at absolute indices start..start+count-1.
 
     Counter-based: index i always yields the same value for a given
-    (seed, path), independent of how draws are batched.
+    (seed, path), independent of how draws are batched.  A sequence of
+    k seeds gives a (k, count) array whose row r is what seed r alone
+    gives; one seed is the one-row case, returned as a 1-D array.  The
+    rows are filled together, in column blocks of at most _BLOCK draws
+    in all, so no uint64 buffer of the whole request is held.
     """
-    keys = np.array([stream_key(seed, *path)], dtype=np.uint64)
-    out = np.empty(count)
-    bits = np.empty((1, min(count, _BLOCK)), dtype=np.uint64)
-    for lo in range(0, count, _BLOCK):
-        block = _fill_bits(bits[:, : min(_BLOCK, count - lo)], keys, start + lo)
-        np.multiply(block[0], 2.0**-53, out=out[lo : lo + block.shape[1]])
-    return out
+    one = np.ndim(seed) == 0
+    keys = np.array([stream_key(s, *path) for s in ([seed] if one else seed)], dtype=np.uint64)
+    rows = len(keys)
+    out = np.empty((rows, count))
+    width = max(1, min(count, _BLOCK // max(rows, 1)))
+    bits = np.empty(rows * width, dtype=np.uint64)
+    for lo in range(0, count, width):
+        cols = min(width, count - lo)
+        block = _fill_bits(bits[: rows * cols].reshape(rows, cols), keys, start + lo)
+        np.multiply(block, 2.0**-53, out=out[:, lo : lo + cols])
+    return out[0] if one else out
 
 
 def bits_block(

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+from jurylab import experiment
 from jurylab.experiment import (
     ExperimentConfig,
     ExperimentReport,
@@ -17,8 +19,8 @@ from jurylab.experiment import (
     scheme_from_dict,
     scheme_to_dict,
 )
-from jurylab.measure import affine, lebesgue
-from jurylab.tally import MAX_BRUTE_N, MODES
+from jurylab.measure import MeasureSpec, affine, lebesgue
+from jurylab.tally import MAX_BRUTE_N, MODES, majority_prob_exact, weighted_majority_prob
 from jurylab.weights import (
     BoundedPoly,
     ExpertRule,
@@ -185,6 +187,34 @@ class TestRun:
         report = run(cfg)
         assert report.rows[0].method == "brute_force"
 
+    @pytest.fixture
+    def weighted_tallies(self, monkeypatch):
+        """(profile, estimate) of every weighted tally `run` makes."""
+        records = []
+
+        def record(profile, w, **kwargs):
+            est = weighted_majority_prob(profile, w, **kwargs)
+            records.append((profile, est))
+            return est
+
+        monkeypatch.setattr(experiment, "weighted_majority_prob", record)
+        return records
+
+    def test_unit_weights_honour_mc(self, weighted_tallies):
+        # only "auto" takes the exact DP for equal weights
+        cfg = small_config(n_grid=(11, 21), profiles_per_n=10, tally_mode="mc", replicas=4000)
+        assert [r.method for r in run(cfg).rows] == ["monte_carlo"] * 2
+        assert len(weighted_tallies) == 20
+        for prof, est in weighted_tallies:
+            assert abs(est.value - majority_prob_exact(prof).value) <= est.half_width
+
+    def test_unit_weights_honour_brute(self, weighted_tallies):
+        cfg = small_config(n_grid=(11, 21), profiles_per_n=10, tally_mode="brute")
+        assert [r.method for r in run(cfg).rows] == ["brute_force"] * 2
+        assert len(weighted_tallies) == 20
+        for prof, est in weighted_tallies:
+            assert abs(est.value - majority_prob_exact(prof).value) <= 1e-12
+
     def test_auto_resolved_at_the_enumeration_cap(self):
         # auto enumerates up to MAX_BRUTE_N and samples beyond it, silently
         cfg = small_config(
@@ -193,6 +223,43 @@ class TestRun:
         )
         report = run(cfg)
         assert [r.method for r in report.rows] == ["brute_force", "monte_carlo"]
+
+
+# SHA-256 prefixes of report_to_csv, recorded before profiles were drawn
+# a size at a time; each config takes a different route through run
+RUN_PINS = {
+    "unit_lebesgue": (
+        dict(measure=lebesgue(), scheme=UnitWeights(), n_grid=(11, 51, 201), profiles_per_n=40),
+        "afbbcacaa3cabe68",
+    ),
+    "bounded_poly_brute": (
+        dict(measure=affine(-1.0), scheme=BoundedPoly(W=10.0, k=2), n_grid=(5, 17),
+             profiles_per_n=20, tally_mode="brute"),
+        "9449a80ddb96f354",
+    ),
+    "expert_nobody_clears": (
+        dict(measure=lebesgue(), scheme=ExpertRule(threshold=1.0), n_grid=(9, 31),
+             profiles_per_n=10),
+        "e807794056dc4107",
+    ),
+    "stochastic_monte_carlo": (
+        dict(measure=affine(1.0), scheme=StochasticPoly(W=10.0, k=2, sigma_w=2.0),
+             n_grid=(33, 101), profiles_per_n=10, replicas=200),
+        "1838d567ebdeb29c",
+    ),
+    "atoms_at_0_and_1": (
+        dict(measure=MeasureSpec(atoms=((0.0, 0.4), (1.0, 0.6))), scheme=UnitWeights(),
+             n_grid=(5, 21), profiles_per_n=10),
+        "d7b091cb49731c13",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", RUN_PINS)
+def test_run_pinned_bit_for_bit(name):
+    kwargs, digest = RUN_PINS[name]
+    text = report_to_csv(run(ExperimentConfig(seed=1313, **kwargs)))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 class TestClassifyTrend:

@@ -20,6 +20,7 @@ from jurylab.profile import (
     generate,
     geometric_checkpoints,
     q_statistic,
+    q_statistics,
 )
 
 COIN = MeasureSpec(atoms=((0.0, 0.5), (1.0, 0.5)), label="coin")
@@ -123,6 +124,29 @@ def test_generate_pinned_bit_for_bit(name):
     assert digests == GENERATE_PINS[name]
 
 
+# with three seeds, `uniforms` fills 2^16 // 3 = 21845 columns per block:
+# sizes inside one block, just past it, and past 2^16
+BATCH_SIZES = (1, 21_845, 21_847, 70_001)
+BATCH_SOURCES = dict(
+    PINNED_SOURCES, explicit=ExplicitSource(tuple((i % 7) / 6 for i in range(70_001)))
+)
+
+
+@pytest.mark.parametrize("n", BATCH_SIZES)
+@pytest.mark.parametrize("name", sorted(BATCH_SOURCES))
+def test_generate_batch_rows_match_single_seeds(name, n):
+    source = BATCH_SOURCES[name]
+    seeds = [11, 2**64 - 1, 0]
+    batch = generate(source, n, seeds)
+    assert [(prof.source, prof.seed) for prof in batch] == [(source, s) for s in seeds]
+    for prof, seed in zip(batch, seeds):
+        assert prof.competences.tobytes() == generate(source, n, seed).competences.tobytes()
+
+
+def test_generate_no_seeds_gives_no_profiles():
+    assert generate(IidSource(lebesgue()), 5, []) == []
+
+
 class TestProfileValidation:
     @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.1, math.inf])
     def test_out_of_range_or_nan_rejected(self, bad):
@@ -131,6 +155,14 @@ class TestProfileValidation:
 
 
 class TestQStatistic:
+    def test_rows_match_single_profiles(self):
+        rows = np.vstack([generate(IidSource(affine(0.5)), 51, seed=s).competences for s in range(4)])
+        rows[2] = rows[2] >= 0.5  # all 0 or 1: degenerate
+        q = q_statistics(rows)
+        assert np.isnan(q[2])
+        for i in (0, 1, 3):
+            assert q[i] == q_statistic(explicit(rows[i].tolist()))
+
     def test_centered(self):
         assert q_statistic(explicit([0.5] * 7)) == 0.0
 

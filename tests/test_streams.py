@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,30 @@ def test_uniforms_are_scaled_bits():
     assert bits.dtype == np.uint64 and int(bits.max()) < 2**53
     u = uniforms_block(21, (6, 7), rows, 1_000, col_start=2**61)
     assert np.array_equal(u, bits * 2.0**-53)
+
+
+class TestManySeeds:
+    @pytest.mark.parametrize("count", [1, _BLOCK // 3, _BLOCK // 3 + 1, _BLOCK + 3])
+    def test_rows_match_single_seeds(self, count):
+        seeds = [3, 2**64 - 1, 0]
+        got = uniforms(seeds, (5, 8), count, start=2**62)
+        assert got.shape == (3, count)
+        for row, seed in zip(got, seeds):
+            assert row.tobytes() == uniforms(seed, (5, 8), count, start=2**62).tobytes()
+
+    def test_no_seeds(self):
+        assert uniforms([], (1,), 7).shape == (0, 7)
+
+
+def test_long_draw_holds_no_whole_length_bits():
+    # the profile length of the diagnostics' condition reports: besides the
+    # float output, one block of draws and one of counters or mixing scratch
+    n = 2_000_001
+    tracemalloc.start()
+    try:
+        u = uniforms(17, (0x1D1D,), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.shape == (n,)
+    assert peak <= 8 * n + 2 * 8 * _BLOCK + 4096

@@ -8,7 +8,9 @@ quartiles of every end-to-end metric.  With `--parent`, the same runs are
 made in a second checkout too, as pairs on the same seed that alternate
 which side goes first, so both sides see the same hour of the host, and
 the file counts the pairs the change won.  One traced run per side of
-`large_exact` and of `small_committees` gives the mean milliseconds per
+`large_exact` and of `small_committees` gives that run's whole
+`per_layer` dict (`profile.generate_s`, `measure.quantile_s`,
+`experiment.self_s` and the rest), with the mean milliseconds per
 `majority_prob_exact` call at every traced size (`tally.exact_ms.n*`).
 The file also names the host and its CPU (model name, family, model,
 stepping and the avx512f flag), Python, numpy, scipy and each side's
@@ -45,15 +47,18 @@ def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) 
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def exact_ms(checkout: Path, workload: str, seed: int) -> dict[str, float]:
-    """Mean ms per exact tally call at each size a traced run saw."""
+def traced_layers(checkout: Path, workload: str, seed: int) -> dict[str, float]:
+    """A traced run's `per_layer` dict, with the mean ms per exact tally
+    call at each size the run saw (its `per_layer` has only the sizes of
+    `large_exact`)."""
     with open(checkout / "bench" / "out" / f"trace-{workload}-seed{seed}.json") as f:
-        totals = json.load(f)["totals"]
+        trace = json.load(f)
     rows = {}
-    for name, t in totals.items():
+    for name, t in trace["totals"].items():
         if name.startswith("tally.exact.n") and t["calls"]:
             rows[f"tally.exact_ms.{name.rsplit('.', 1)[1]}"] = 1e3 * t["total_s"] / t["calls"]
-    return dict(sorted(rows.items(), key=lambda kv: int(kv[0].rsplit(".n", 1)[1])))
+    exact = dict(sorted(rows.items(), key=lambda kv: int(kv[0].rsplit(".n", 1)[1])))
+    return trace["per_layer"] | exact
 
 
 def provenance(checkout: Path) -> dict:
@@ -139,7 +144,7 @@ def main(argv=None) -> int:
     for w in TRACED:
         for side in sides:
             bench(sides[side], w, SEEDS[0], seconds, 1)
-            traced[side][w] = exact_ms(sides[side], w, SEEDS[0])
+            traced[side][w] = traced_layers(sides[side], w, SEEDS[0])
 
     doc = {
         "started_utc": started,
