@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import ClassVar, Union, get_args
 
 import numpy as np
-from scipy import special
 
 from .measure import MeasureSpec, moment
 from .quadrature import integrate
@@ -178,6 +177,9 @@ def _std_truncnorm_mean(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     instead of underflowing; near-degenerate intervals collapse to the
     midpoint.  Never returns NaN for alpha < beta.
     """
+    # imported here: scipy.special takes most of `import jurylab`'s time
+    from scipy import special
+
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     with np.errstate(invalid="ignore"):

@@ -11,7 +11,7 @@ from scipy import integrate, stats
 
 import jurylab
 from jurylab import weights
-from jurylab.measure import MeasureSpec, affine, dirac, lebesgue, moment, sample
+from jurylab.measure import MeasureSpec, affine, dirac, lebesgue, moment, sample, to_json
 from jurylab.streams import generator
 from jurylab.weights import (
     BoundedPoly,
@@ -291,3 +291,102 @@ def test_import_leaves_scipy_stats_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "False"
+
+
+# float.hex values recorded while `scipy.special` was still imported at
+# module level; the deferred import must not change a bit of them
+STD_PINNED = {
+    "mild": (-2.0, 0.5, "-0x1.c8710e984dbfap-2"),
+    "left_tail_finite": (-40.0, -38.5, "-0x1.34351f8ea56c2p+5"),
+    "left_tail_infinite": (-math.inf, -12.0, "-0x1.82a17f9f3f832p+3"),
+    "narrow": (-0.3 - 1e-9, -0.3, "-0x1.3333333bca392p-2"),
+    "flipped": (1.0, 4.0, "0x1.864bedf372428p+0"),
+    "flipped_tail": (20.0, math.inf, "0x1.40cbc9dfa33e9p+4"),
+}
+MIXED = MeasureSpec(pieces=((0.2, 0.8, 1.0, 0.0),), atoms=((0.0, 0.1), (0.9, 0.3)))
+DRIFT_PINNED = [
+    (DOWN, T43, "0x1.5495d8e41f626p+1"),
+    (lebesgue(), StochasticPoly(W=10.0, k=1, sigma_w=2.0), "0x1.129481997be04p+0"),
+    (MIXED, StochasticPoly(W=5.0, k=3, sigma_w=0.5), "0x1.c43dddd8ade02p-1"),
+]
+
+
+class TestPinnedTruncatedNormal:
+    @pytest.mark.parametrize("case", sorted(STD_PINNED))
+    def test_std_mean_scalar(self, case):
+        a, b, pinned = STD_PINNED[case]
+        assert float(weights._std_truncnorm_mean(a, b)).hex() == pinned
+
+    def test_std_mean_array(self):
+        a, b, pinned = zip(*STD_PINNED.values())
+        out = weights._std_truncnorm_mean(np.array(a), np.array(b))
+        assert [float(v).hex() for v in out] == list(pinned)
+
+    @pytest.mark.parametrize(
+        "spec, pinned",
+        [
+            (TruncatedGaussianSpec(1.0, -1.0, 2.0), "0x1.d64c047124c48p-3"),
+            (TruncatedGaussianSpec(2.5, 0.5, 30.0), "0x1.2969bf0be3d23p+1"),
+            (TruncatedGaussianSpec(0.01, -1.0, -0.9), "-0x1.ccdb5c26756f2p-1"),
+        ],
+    )
+    def test_truncated_normal_mean(self, spec, pinned):
+        assert truncated_normal_mean(spec).hex() == pinned
+
+    def test_f_function_array(self):
+        out = f_function(50.0, np.array([0.0, 0.1, 0.5, 0.9, 1.0]))
+        assert [float(v).hex() for v in out] == [
+            "0x1.0573687920e48p-6",
+            "0x1.fed544dbfc457p-26",
+            "0x0.0p+0",
+            "-0x1.fed544dbfc477p-26",
+            "-0x1.0573687920e48p-6",
+        ]
+
+    @pytest.mark.parametrize("spec, scheme, pinned", DRIFT_PINNED)
+    def test_drift(self, spec, scheme, pinned):
+        assert drift(spec, scheme).hex() == pinned
+
+
+def _fresh_python(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": str(Path(jurylab.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    return out.stdout.strip()
+
+
+def test_import_and_scipy_free_commands_leave_scipy_unloaded(tmp_path):
+    # only the truncated-normal mean (scipy.special) and sample_weight
+    # (scipy.stats) load scipy, at their first call
+    p, q = tmp_path / "p.json", tmp_path / "q.json"
+    p.write_text(to_json(lebesgue()))
+    q.write_text(to_json(DOWN))
+    code = f"""
+import contextlib, io, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import jurylab
+print(scipy_modules())
+from jurylab import cli
+print(scipy_modules())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["tally", "--profile", "0.6,0.7,0.8"]) == 0
+print(scipy_modules())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["divergence", {str(p)!r}, {str(q)!r}]) == 0
+print(scipy_modules())
+"""
+    assert _fresh_python(code).splitlines() == ["[]"] * 4
+
+
+def test_first_drift_after_fresh_import_is_pinned():
+    # the first call takes the deferred-import path inside _std_truncnorm_mean
+    code = (
+        "import sys, jurylab\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "print(jurylab.drift(jurylab.affine(-2.0),"
+        " jurylab.StochasticPoly(W=100.0, k=2, sigma_w=99.0 / 50.0)).hex())\n"
+        "print('scipy.special' in sys.modules)"
+    )
+    assert _fresh_python(code).splitlines() == [DRIFT_PINNED[0][2], "True"]

@@ -13,8 +13,10 @@ the file counts the pairs the change won.  One traced run per side of
 `experiment.self_s` and the rest), with the mean milliseconds per
 `majority_prob_exact` call at every traced size (`tally.exact_ms.n*`).
 The file also names the host and its CPU (model name, family, model,
-stepping and the avx512f flag), Python, numpy, scipy and each side's
-git commit and source digest.  Nothing under `bench/` is changed;
+stepping and the avx512f flag), whether Python writes bytecode there
+(`dont_write_bytecode`: if not, every `setup_s` run compiles jurylab's
+sources afresh), Python, numpy, scipy and each side's git commit and
+source digest.  Nothing under `bench/` is changed;
 traced runs write their spans to each checkout's `bench/out/`, as they
 always do.
 """
@@ -155,6 +157,7 @@ def main(argv=None) -> int:
             **cpu_info(),
             "cpus": os.cpu_count(),
             "system": platform.platform(),
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         },
         "python": platform.python_version(),
         "numpy": version("numpy"),
