@@ -85,6 +85,8 @@ def _cmd_tally(args: argparse.Namespace) -> int:
     }
     if est.tie_prob is not None:
         doc["tie_prob"] = est.tie_prob
+    if est.method == "monte_carlo":
+        doc["draws"] = est.draws
     if est.method == "exact_dp":
         doc["trimmed_mass"] = est.trimmed_mass
         doc["rounding_bound"] = est.rounding_bound

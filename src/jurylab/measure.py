@@ -202,9 +202,10 @@ def quantile(spec: MeasureSpec, u: np.ndarray | float) -> np.ndarray | float:
     """Generalized inverse CDF; exact per-piece quadratic inversion.
 
     The input is validated once, then inverted _BLOCK values at a time
-    into one output array, so the inversion's temporaries stay in cache
-    however many values are asked for.  Each value's arithmetic does not
-    depend on the blocking.
+    into one output array.  The inversion works in place, in the output
+    block and in scratch buffers of one block taken once per call, so
+    its working set stays in cache however many values are asked for.
+    Each value's arithmetic does not depend on the blocking.
     """
     starts, segs = _segments(spec)
     us = np.atleast_1d(np.asarray(u, dtype=float))
@@ -212,39 +213,81 @@ def quantile(spec: MeasureSpec, u: np.ndarray | float) -> np.ndarray | float:
         raise ValueError("quantile arguments must lie in [0, 1)")
     flat = us.reshape(-1)
     out = np.empty(flat.shape)
+    size = min(flat.size, _BLOCK)
+    work = np.empty(size)
+    # a single segment needs no segment index, mask or gathered copy
+    picks = None if len(segs) == 1 else (np.empty(size), np.empty(size, dtype=bool))
     for lo in range(0, flat.size, _BLOCK):
-        _invert_block(starts, segs, flat[lo : lo + _BLOCK], out[lo : lo + _BLOCK])
+        _invert_block(starts, segs, flat[lo : lo + _BLOCK], out[lo : lo + _BLOCK], work, picks)
     return out.reshape(us.shape) if np.ndim(u) else float(out[0])
 
 
-def _invert_block(starts: np.ndarray, segs: list[tuple], us: np.ndarray, out: np.ndarray) -> None:
-    """out = quantile at us, one CDF segment at a time."""
-    idx = np.clip(np.searchsorted(starts, us, side="right") - 1, 0, len(segs) - 1)
+def _invert_block(
+    starts: np.ndarray,
+    segs: list[tuple],
+    us: np.ndarray,
+    out: np.ndarray,
+    work: np.ndarray,
+    picks: tuple[np.ndarray, np.ndarray] | None,
+) -> None:
+    """out = quantile at us, one CDF segment at a time; `work` and
+    `picks` (a float and a bool buffer) are scratch of at least len(us)."""
+    if picks is None:
+        np.subtract(us, starts[0], out=out)
+        _invert_segment(segs[0], out, work[: len(us)])
+        return
+    gathered, mask = (buf[: len(us)] for buf in picks)
+    idx = np.searchsorted(starts, us, side="right")
+    idx -= 1
+    np.clip(idx, 0, len(segs) - 1, out=idx)
     for k, seg in enumerate(segs):
-        mask = idx == k
-        if not np.any(mask):
+        np.equal(idx, k, out=mask)
+        count = int(np.count_nonzero(mask))
+        if count == 0:
             continue
         if seg[0] == "atom":
             out[mask] = seg[1]
-        else:
-            _, a, b, c0, c1, _mass = seg
-            out[mask] = _invert_affine_cdf(a, b, c0, c1, us[mask] - starts[k])
+            continue
+        t = np.compress(mask, us, out=gathered[:count])
+        t -= starts[k]
+        _invert_segment(seg, t, work[:count])
+        out[mask] = t
 
 
-def _invert_affine_cdf(a: float, b: float, c0: float, c1: float, t: np.ndarray) -> np.ndarray:
-    """Solve (c1/2)(x^2 - a^2) + c0(x - a) = t for x in [a, b]."""
+def _invert_segment(seg: tuple, t: np.ndarray, work: np.ndarray) -> None:
+    """Replace each mass offset t into segment `seg` by its quantile, in
+    place; `work` is float scratch of t's length."""
+    if seg[0] == "atom":
+        t.fill(seg[1])
+        return
+    _, a, b, c0, c1, _mass = seg
     if abs(c1) < 1e-14:
-        return np.clip(a + t / c0, a, b)
+        t /= c0
+        t += a
+        np.clip(t, a, b, out=t)
+        return
+    # solve (c1/2)(x^2 - a^2) + c0(x - a) = t for x in [a, b].  The CDF
+    # is nondecreasing on the piece, so the increasing-branch root applies
+    # for either sign of c1: x = 2K / (c0 + root), cancellation-free, and
+    # (root - c0) / c1 where c0 + root is within 1e-300 of 0
     A = 0.5 * c1
-    K = A * a * a + c0 * a + t
-    disc = np.maximum(c0 * c0 + 4.0 * A * K, 0.0)
-    root = np.sqrt(disc)
-    denom = c0 + root
-    # CDF is nondecreasing on the piece, so the increasing-branch root
-    # applies for either sign of c1; pick the cancellation-free form.
-    safe = np.abs(denom) > 1e-300
-    x = np.where(safe, 2.0 * K / np.where(safe, denom, 1.0), (-c0 + root) / (2.0 * A))
-    return np.clip(x, a, b)
+    t += A * a * a + c0 * a  # K
+    np.multiply(t, 4.0 * A, out=work)
+    work += c0 * c0
+    np.maximum(work, 0.0, out=work)
+    np.sqrt(work, out=work)  # root
+    work += c0  # denominator
+    # root >= 0, so the denominator can vanish only where c0 <= 1e-300
+    rare = np.flatnonzero(np.abs(work) <= 1e-300) if c0 <= 1e-300 else ()
+    if len(rare):
+        root = np.sqrt(np.maximum(c0 * c0 + 4.0 * A * t[rare], 0.0))
+        near = (-c0 + root) / (2.0 * A)
+        work[rare] = 1.0
+    t *= 2.0
+    t /= work
+    if len(rare):
+        t[rare] = near
+    np.clip(t, a, b, out=t)
 
 
 def sample(

@@ -9,11 +9,15 @@ depend on scheduling or worker count.
 
 Draw i of the stream with key k is the 53-bit integer
 mix(k + i * gamma) >> 11, and its uniform is that integer times 2^-53.
-Arrays are mixed in place, _BLOCK entries at a time, so the working set
-of a mixing pass stays in cache however large the request; `uniforms`
-converts each block into its float output from one reused integer block.
-`uniforms` also fills many streams at once, one row per seed, so the
-profiles of one size cost one pass, not one call each.
+SplitMix64's mix starts by adding gamma, so a fill adds gamma to its
+row keys once, not to every entry.  Arrays are mixed in place, _BLOCK
+entries at a time, so the working set of a mixing pass stays in cache
+however large the request; `uniforms` converts each block into its float
+output from one reused integer block.  `uniforms` also fills many
+streams at once, one row per seed, so the profiles of one size cost one
+pass, not one call each.  `fill_columns` fills any set of columns of
+any rows, so a kernel can draw a replica's voters in any order and
+draw each one at most once.
 """
 
 from __future__ import annotations
@@ -37,12 +41,12 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_inplace(z: np.ndarray, t: np.ndarray) -> None:
-    """SplitMix64 finalizer of z + gamma, in place; t is scratch of z's shape.
+def _finalize_inplace(z: np.ndarray, t: np.ndarray) -> None:
+    """SplitMix64 finalizer of z, in place, after mix's first step
+    z + gamma; t is scratch of z's shape.
 
     uint64 array arithmetic wraps mod 2^64, so no masks are needed.
     """
-    z += _GAMMA
     np.right_shift(z, 30, out=t)
     z ^= t
     z *= _MIX1
@@ -53,17 +57,41 @@ def _mix_inplace(z: np.ndarray, t: np.ndarray) -> None:
     z ^= t
 
 
+def fill_columns(out: np.ndarray, keys: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """out[r, c] = mix(keys[r] + cols[c] * gamma) >> 11, in place.
+
+    `cols` holds any column indices below 2^64, in any order, and `out`
+    is a C-contiguous uint64 array of shape (len(keys), len(cols)).
+    Entry (r, c) is draw cols[c] of the stream keyed keys[r] however the
+    rows and columns are chosen or batched.
+    """
+    return _fill(out, keys, np.asarray(cols, dtype=np.uint64) * np.uint64(_GAMMA))
+
+
 def _fill_bits(out: np.ndarray, keys: np.ndarray, start: int) -> np.ndarray:
-    """out[r, j] = mix(keys[r] + (start + j) * gamma) >> 11, in place."""
-    idx = np.arange(start, start + out.shape[1], dtype=np.uint64)
-    idx *= _GAMMA
-    np.add(keys[:, None], idx[None, :], out=out)
-    del idx  # freed before the scratch block is taken
+    """out[r, j] = mix(keys[r] + (start + j) * gamma) >> 11, in place:
+    `fill_columns` on the contiguous columns start..start + width - 1."""
+    steps = np.arange(start, start + out.shape[1], dtype=np.uint64)
+    steps *= _GAMMA
+    return _fill(out, keys, steps)
+
+
+def _fill(out: np.ndarray, keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """out[r, c] = mix(keys[r] + steps[c]) >> 11, in place, where steps[c]
+    is column c's index times gamma.
+
+    mix's first step, + gamma, is added to the len(keys) row keys, not to
+    every entry.  Once added, `steps` is spent and serves as the mixing
+    scratch when it is long enough, so a one-row fill takes no second
+    block.
+    """
+    np.add((keys + np.uint64(_GAMMA))[:, None], steps[None, :], out=out)
     flat = out.reshape(-1)
-    scratch = np.empty(min(flat.size, _BLOCK), dtype=np.uint64)
+    size = min(flat.size, _BLOCK)
+    scratch = steps[:size] if steps.size >= size else np.empty(size, dtype=np.uint64)
     for lo in range(0, flat.size, _BLOCK):
         z = flat[lo : lo + _BLOCK]
-        _mix_inplace(z, scratch[: z.size])
+        _finalize_inplace(z, scratch[: z.size])
         z >>= 11
     return out
 
@@ -101,6 +129,15 @@ def uniforms(
     return out[0] if one else out
 
 
+def row_keys(seed: int, path: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """The uint64 keys of the substreams (path..., r) for each r in `rows`."""
+    keys = np.asarray(rows, dtype=np.uint64) * np.uint64(_GAMMA)
+    # mix(k + r * gamma) with mix's own + gamma added to the scalar key
+    keys += np.uint64((stream_key(seed, *path) + _GAMMA) & _U64_MASK)
+    _finalize_inplace(keys, np.empty_like(keys))
+    return keys
+
+
 def bits_block(
     seed: int,
     path: tuple[int, ...],
@@ -114,17 +151,15 @@ def bits_block(
     Used for replica-indexed Monte Carlo: each row is an independent
     per-replica stream, and extending `cols` extends every row in place.
     Draw b has the uniform b * 2^-53.  `out`, if given, is a C-contiguous
-    uint64 array of that shape and receives the draws.
+    uint64 array of that shape and receives the draws.  `fill_columns`
+    with the keys of `row_keys` draws any other set of columns.
     """
     shape = (len(rows), cols)
     if out is None:
         out = np.empty(shape, dtype=np.uint64)
     elif out.shape != shape or out.dtype != np.uint64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous uint64 array of shape {shape}")
-    row_keys = np.asarray(rows, dtype=np.uint64) * _GAMMA
-    row_keys += stream_key(seed, *path)
-    _mix_inplace(row_keys, np.empty_like(row_keys))
-    return _fill_bits(out, row_keys, col_start)
+    return _fill_bits(out, row_keys(seed, path, rows), col_start)
 
 
 def uniforms_block(

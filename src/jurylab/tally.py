@@ -31,21 +31,47 @@ enumeration covers n <= 31 by meet-in-the-middle (Horowitz & Sahni
 1974): each half of the voters lists its 2^(n/2) scores and
 probabilities, one half is sorted, and each outcome of the other half
 finds the mass that beats or ties it by binary search over suffix sums.
-Beyond n = 31 a seeded Monte Carlo runs one substream per replica.  It
-works on blocks of about 2^16 draws, which stay in cache: each block is
-a (replicas, n) array of 53-bit integer draws, filled in place by
-`streams.bits_block`, and voter i is correct where its draw is below
-ceil(p_i * 2^53).  That integer test is exactly the test u < p_i on the
-draw's uniform u = draw * 2^-53, so which voters are correct does not
-depend on the block size.  The win frequency gets a 95% interval: Wald
-for interior counts, and the exact Clopper-Pearson width when every
-replica or none wins, so no interval has zero width.
+Beyond n = 31 a seeded Monte Carlo runs one substream per replica:
+draw (r, i) of replica r's stream decides voter i, which is correct
+where the draw is below ceil(p_i * 2^53).  That integer test is exactly
+the test u < p_i on the draw's uniform u = draw * 2^-53, so which voters
+are correct depends on neither the batching nor the order in which the
+voters are drawn.  A replica wins where its full-row score
+fl(2 fl(correct @ w) - fl(sum w)) is above 0, computed in blocks of
+whole rows of about _MC_BLOCK entries.
+
+Most replicas are decided by their heaviest voters, so the kernel
+stops drawing a replica once its outcome is certain (curtailed
+sampling; Wald, Sequential Analysis, 1947).  It draws the voters in
+descending |w|, in _STAGES stages: stage k ends at the first voter where
+the undrawn sum of |w| falls to 2^-k of the total W.  After each stage,
+a replica whose partial score P and undrawn weight R satisfy
+|P| > R + margin is decided, and wins iff P > 0.  With u = 2^-53 the
+margin is 16 (n + 8) u W.  To first order, the full-row score is within
+(3n - 2) u W of the exact score (two sums of at most n terms, whose
+products by 0 or 1 are exact, and one subtraction), the computed P
+within (4n - 1) u W of the exact partial score (the same for each piece
+of at most n drawn voters, plus one addition per piece), the computed R
+within (n - 1) u W, and R + margin rounds once, by at most u W.  These
+add up to (8n - 3) u W, half the margin; the other half covers the
+second-order terms.  So |P| > R + margin puts the exact score and the
+full-row score on P's side of 0, and no rounding flips a decision.  A
+replica still undecided after the stages draws its other voters and is
+scored from its full row, in the place the row has in its block of
+whole rows: a BLAS product may round a row's dot product differently
+by that place.  Every win count therefore equals the whole-row
+kernel's, near-ties and exact ties (losses) included.  Each draw is made
+at most once, and `TallyEstimate.draws` counts them.
+
+The win frequency gets a 95% interval: Wald for interior counts, and
+the exact Clopper-Pearson width when every replica or none wins, so no
+interval has zero width.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -70,8 +96,16 @@ MAX_BRUTE_N = 31
 # weighted_majority_prob's modes; "auto" enumerates up to MAX_BRUTE_N, else Monte Carlo
 MODES = ("auto", "brute", "mc")
 _REPLICA_TAG = 0x4D43
-# entries per Monte Carlo block: the draws and their comparisons stay in cache
+# entries per Monte Carlo block of whole rows, whose layout a near-tie's
+# rounding depends on
 _MC_BLOCK = 1 << 16
+# draws per chunk of a Monte Carlo stage: its draws, scratch and float cast
+# fit where one block's did, beside the voter order and the packed flags
+_MC_CHUNK = _MC_BLOCK // 2
+# Monte Carlo stages: stage k ends where the undrawn sum |w| falls to 2^-k of it
+_STAGES = 4
+# packed correct-or-not flags held per group of Monte Carlo replicas
+_SEEN_BITS = 1 << 20
 # product-tree leaf size and the band trim threshold of the exact tally
 _LEAF = 32
 _TRIM = 1e-300
@@ -106,6 +140,9 @@ class TallyEstimate:
     tie_prob: float | None = None
     trimmed_mass: float = 0.0
     rounding_bound: float = 0.0
+    # the voter or step draws a Monte Carlo estimate made, 0 for the exact
+    # methods: a measure of work, so two estimates that agree compare equal
+    draws: int = field(default=0, compare=False)
 
 
 def _checked_probs(profile: Profile) -> np.ndarray:
@@ -299,7 +336,7 @@ def _brute_force_weighted(ps: np.ndarray, w: np.ndarray) -> TallyEstimate:
     return TallyEstimate(value=win, method="brute_force", tie_prob=tie)
 
 
-def monte_carlo_estimate(successes: int, trials: int) -> TallyEstimate:
+def monte_carlo_estimate(successes: int, trials: int, draws: int = 0) -> TallyEstimate:
     """The frequency successes / trials with a 95% interval half-width.
 
     Interior counts get the Wald half-width 1.96 sqrt(p(1-p)/trials).
@@ -313,28 +350,155 @@ def monte_carlo_estimate(successes: int, trials: int) -> TallyEstimate:
     else:
         half = -math.expm1(math.log(0.025) / trials)
     return TallyEstimate(
-        value=p_hat, method="monte_carlo", half_width=half, n_replicas=trials
+        value=p_hat, method="monte_carlo", half_width=half, n_replicas=trials, draws=draws
     )
+
+
+def _stage_ends(heavy: np.ndarray) -> list[tuple[int, float]]:
+    """(end, undrawn) of each stage over |w| sorted heaviest first.
+
+    Stage k ends at the first voter where the undrawn sum falls to 2^-k
+    of the total; `undrawn` is the computed sum of |w| from `end` on.  A
+    stage that would end at n is left out: the closing pass draws it.
+    """
+    cum = np.cumsum(heavy)
+    ends = np.searchsorted(cum, cum[-1] * (1.0 - 2.0 ** -np.arange(1.0, _STAGES + 1))) + 1
+    # nondecreasing; dict.fromkeys drops repeats (np.unique would load numpy.ma)
+    return [(e, float(np.sum(heavy[e:]))) for e in dict.fromkeys(ends.tolist()) if e < len(heavy)]
+
+
+def _draw_piece(
+    ps: np.ndarray,
+    w: np.ndarray,
+    cols: np.ndarray,
+    keys: np.ndarray,
+    flags: np.ndarray,
+    score: np.ndarray | None,
+) -> int:
+    """Draw voters `cols` for the replicas keyed `keys`, pack their
+    correct-or-not flags into the byte columns `flags`, and add
+    fl(2 fl(correct @ w_cols) - fl(sum w_cols)) to `score` unless it is
+    None.  Chunks hold at most _MC_CHUNK draws.  Returns the draws."""
+    # b < ceil(p * 2^53) iff b * 2^-53 < p: the scaling is exact and every
+    # draw b is an integer below 2^53 (so p = 1 passes all, p = 0 none)
+    thresholds = np.ceil(ps[cols] * 2.0**53).astype(np.uint64)
+    w_cols = w[cols]
+    w_sum = float(np.sum(w_cols))
+    cols = cols.astype(np.uint64)
+    width = len(cols)
+    step = max(1, _MC_CHUNK // width)
+    bits = np.empty(min(step, len(keys)) * width, dtype=np.uint64)
+    for r in range(0, len(keys), step):
+        m = min(step, len(keys) - r)
+        block = streams.fill_columns(bits[: m * width].reshape(m, width), keys[r : r + m], cols)
+        correct = block < thresholds
+        flags[r : r + m] = np.packbits(correct, axis=1)
+        if score is not None:
+            score[r : r + m] += 2.0 * (correct @ w_cols) - w_sum
+    return len(keys) * width
+
+
+def _full_row_wins(
+    packed: list[np.ndarray],
+    widths: list[int],
+    rows: np.ndarray,
+    order: np.ndarray,
+    w: np.ndarray,
+    replicas: int,
+) -> int:
+    """Wins among the replicas `rows` (ascending), whose packed flags cover
+    every voter: stage k's array holds the flags of the next widths[k]
+    voters of `order`.  Each row is put back in voter order and scored
+    as fl(2 fl(correct @ w) - fl(sum w)) in the place it has in a kernel
+    that draws blocks of whole rows, with the decided rows left 0: the
+    BLAS product may round a row's dot product differently by its place
+    in the block, so only that place reproduces a near-tie's sign."""
+    n = len(order)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.arange(n)
+    w_sum = float(np.sum(w))
+    per_block = max(1, _MC_BLOCK // n)
+    starts = np.flatnonzero(np.diff(rows // per_block, prepend=-1))
+    wins = 0
+    for lo, hi in zip(starts, [*starts[1:], len(rows)]):
+        first = rows[lo] // per_block * per_block
+        at = rows[lo:hi] - first
+        correct = np.zeros((min(per_block, replicas - first), n), dtype=bool)
+        correct[at] = np.take(
+            np.concatenate(
+                [np.unpackbits(p[lo:hi], axis=1, count=c) for p, c in zip(packed, widths)],
+                axis=1,
+            ).view(bool),
+            inverse,
+            axis=1,
+        )
+        score = 2.0 * (correct @ w) - w_sum
+        wins += int(np.count_nonzero(score[at] > 0.0))
+    return wins
 
 
 def _monte_carlo_weighted(
     ps: np.ndarray, w: np.ndarray, replicas: int, seed: int
 ) -> TallyEstimate:
+    """Win frequency over `replicas` seeded replicas, drawn in stages.
+
+    The replicas go in groups of whole blocks whose correct-or-not
+    flags, packed eight to a byte, fit in about _SEEN_BITS.  For each
+    group, each stage's voters (heaviest first) are drawn for the
+    group's undecided replicas, in pieces of at most _MC_CHUNK / 8 voters
+    (`_draw_piece`), and after each stage the decided replicas leave.
+    Those still undecided draw their other voters in a closing pass and
+    are scored on their full rows (`_full_row_wins`).  Each draw is made
+    at most once, so `draws` is at most n * replicas.  At n = 65537 the
+    call holds 12 bytes per voter of order and its inverse and 10 for
+    one scored row, against 25 for the whole-row kernel's block: hence
+    int32 for the order, and flags of at most 2 bytes per voter.
+    """
     n = len(ps)
-    wins = 0
-    w_sum = float(np.sum(w))
-    # b < ceil(p * 2^53) iff b * 2^-53 < p: the scaling is exact and every
-    # draw b is an integer below 2^53 (so p = 1 passes all, p = 0 none)
-    thresholds = np.ceil(ps * 2.0**53).astype(np.uint64)
-    rows_per_block = max(1, _MC_BLOCK // n)
-    bits = np.empty((rows_per_block, n), dtype=np.uint64)
-    for start in range(0, replicas, rows_per_block):
-        rows = np.arange(start, min(start + rows_per_block, replicas))
-        block = streams.bits_block(seed, (_REPLICA_TAG,), rows, n, out=bits[: len(rows)])
-        correct = block < thresholds
-        score = 2.0 * (correct @ w) - w_sum
-        wins += int(np.count_nonzero(score > 0.0))
-    return monte_carlo_estimate(wins, replicas)
+    # int32 halves the order, the one n-length array held throughout
+    order = np.argsort(np.abs(w), kind="stable")[::-1].astype(np.int32)
+    heavy = w[order]
+    np.abs(heavy, out=heavy)
+    total = float(np.sum(heavy))
+    # if 4W overflows, so could a score: then no replica is decided early
+    stages = _stage_ends(heavy) if math.isfinite(4.0 * total) else []
+    stages.append((n, None))
+    del heavy
+    # past this margin no rounding flips a decision: see the module docstring
+    margin = 16 * (n + 8) * _U * total
+    per_block = max(1, _MC_BLOCK // n)
+    group = per_block * max(1, _SEEN_BITS // n // per_block)
+    # a multiple of 8, so each piece's flags start on a byte
+    piece = 8 * max(1, _MC_CHUNK // 64)
+    wins = draws = 0
+    for start in range(0, replicas, group):
+        rows = np.arange(start, min(start + group, replicas))
+        keys = streams.row_keys(seed, (_REPLICA_TAG,), rows)
+        score = np.zeros(len(keys))
+        # per stage, the packed flags of the group's undecided replicas
+        packed: list[np.ndarray] = []
+        lo = 0
+        for hi, undrawn in stages:
+            if not len(keys):
+                break
+            flags = np.empty((len(keys), -(-(hi - lo) // 8)), dtype=np.uint8)
+            for a in range(lo, hi, piece):
+                b = min(a + piece, hi)
+                partial = score if undrawn is not None else None
+                byte_cols = flags[:, (a - lo) // 8 : -(-(b - lo) // 8)]
+                draws += _draw_piece(ps, w, order[a:b], keys, byte_cols, partial)
+            packed.append(flags)
+            lo = hi
+            if undrawn is not None:
+                decided = np.abs(score) > undrawn + margin
+                wins += int(np.count_nonzero(score[decided] > 0.0))
+                keep = ~decided
+                rows, keys, score = rows[keep], keys[keep], score[keep]
+                packed = [p[keep] for p in packed]
+        if len(keys):
+            widths = np.diff([0] + [end for end, _ in stages]).tolist()
+            wins += _full_row_wins(packed, widths, rows, order, w, replicas)
+    return monte_carlo_estimate(wins, replicas, draws)
 
 
 def _checked_weights(profile: Profile, weights: np.ndarray | list[float]) -> np.ndarray:

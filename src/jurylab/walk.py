@@ -133,7 +133,7 @@ def random_walk_return(
     width = min(_STEP_BLOCK, horizon)
     bits_buf = np.empty(replicas * width, dtype=np.uint64)
     steps_buf = np.empty(replicas * width, dtype=np.int32)
-    done = 0
+    done = draws = 0
     while done < horizon and len(active):
         take = min(_STEP_BLOCK, horizon - done)
         shape = (len(active), take)
@@ -152,7 +152,8 @@ def random_walk_return(
         active = active[~hit_now]
         position = position[~hit_now] + partial[~hit_now, -1]
         done += take
-    return monte_carlo_estimate(int(np.count_nonzero(hits)), replicas)
+        draws += size
+    return monte_carlo_estimate(int(np.count_nonzero(hits)), replicas, draws)
 
 
 def moa_fraction_experiment(
@@ -180,4 +181,4 @@ def moa_fraction_experiment(
         p = quantile(spec, u.ravel()).reshape(u.shape)
         counts = np.count_nonzero(p >= threshold, axis=1)
         successes += int(np.count_nonzero(counts > eps * n))
-    return monte_carlo_estimate(successes, trials)
+    return monte_carlo_estimate(successes, trials, trials * n)

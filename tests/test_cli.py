@@ -39,6 +39,17 @@ class TestTally:
         assert "trimmed_mass" not in doc
         assert "rounding_bound" not in doc
 
+    def test_monte_carlo_reports_draws(self, capsys):
+        # one heavy voter of 41 decides most replicas after a single draw
+        profile, weights = ",".join(["0.6"] * 41), ",".join(["1"] * 40 + ["60"])
+        argv = ["tally", "--profile", profile, "--weights", weights, "--mode", "mc"]
+        assert main([*argv, "--replicas", "200"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["method"] == "monte_carlo"
+        assert 200 <= doc["draws"] < 41 * 200
+        assert main(["tally", "--profile", "0.6,0.6,0.6"]) == 0
+        assert "draws" not in json.loads(capsys.readouterr().out)
+
     def test_missing_profile_exits_one(self, capsys):
         assert main(["tally"]) == 1
 

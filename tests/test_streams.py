@@ -3,7 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from jurylab.streams import _BLOCK, _fill_bits, bits_block, stream_key, uniforms, uniforms_block
+from jurylab.streams import (
+    _BLOCK,
+    _fill_bits,
+    bits_block,
+    fill_columns,
+    row_keys,
+    stream_key,
+    uniforms,
+    uniforms_block,
+)
 
 # Values recorded from the original allocating implementation; any change
 # here re-seeds every stochastic output in the package.
@@ -70,6 +79,17 @@ class TestBatching:
         left = bits_block(11, (2,), rows, 4_000, col_start=17)
         right = bits_block(11, (2,), rows, 5_001, col_start=4_017)
         assert np.array_equal(np.hstack([left, right]), whole)
+
+    def test_any_columns_match_the_block(self):
+        # unordered, repeated and far columns are the block's own draws
+        rows = np.arange(3, 9)
+        whole = bits_block(11, (2,), rows, 600, col_start=2**62)
+        picks = [599, 0, 17, 17, 301]
+        cols = np.array(picks, dtype=np.uint64) + np.uint64(2**62)
+        out = np.empty((len(rows), len(cols)), dtype=np.uint64)
+        got = fill_columns(out, row_keys(11, (2,), rows), cols)
+        assert got is out
+        assert np.array_equal(got, whole[:, picks])
 
     def test_out_buffer_matches_fresh_array(self):
         rows = np.arange(3)

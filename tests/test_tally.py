@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +27,7 @@ from jurylab.tally import (
     proposition41_bound,
     weighted_majority_prob,
 )
-from jurylab.weights import StochasticPoly, find_k, sample_weight
+from jurylab.weights import ExpertRule, LogOdds, StochasticPoly, find_k, sample_weight
 
 SG = [0.9, 0.9, 0.6, 0.6, 0.6]
 
@@ -547,6 +548,133 @@ class TestMonteCarloKernel:
                 )
                 assert est.value == np.count_nonzero(draws < p0) / replicas
                 assert est.value == reference_mc_value(ps, w, replicas, seed)
+
+
+def reference_mc_scores(ps, w, replicas, seed) -> np.ndarray:
+    """Every replica's whole-row score, as `reference_mc_value` forms it."""
+    rows = np.arange(replicas)
+    u = streams.uniforms_block(seed, (tally._REPLICA_TAG,), rows, len(ps))
+    return 2.0 * ((u < ps[None, :]) @ w) - float(np.sum(w))
+
+
+def near_tie(rng, n, zeros):
+    """Voter 0 (p = 1/2) weighs the float sum of the others, who always
+    vote right, so half the replicas score a few ulps from 0, on a side
+    that only the rounding of the whole-row score fixes.  `zeros`
+    silent voters close the row."""
+    v = rng.random(n - 1 - zeros)
+    w = np.concatenate(([np.sum(v)], v, np.zeros(zeros)))
+    ps = np.concatenate(([0.5], np.ones(n - 1 - zeros), rng.random(zeros)))
+    return ps, w
+
+
+class TestEarlyDecision:
+    """The staged kernel stops drawing a replica once its outcome is
+    certain; its win counts must equal the whole-row reference's."""
+
+    @staticmethod
+    def estimate(ps, w, replicas, seed):
+        est = weighted_majority_prob(explicit(ps), w, mode="mc", replicas=replicas, seed=seed)
+        assert est.value == reference_mc_value(ps, w, replicas, seed)
+        assert 0 < est.draws <= len(ps) * replicas
+        return est
+
+    def test_exact_methods_make_no_draws(self):
+        prof = explicit([0.6, 0.7, 0.8])
+        assert majority_prob_exact(prof).draws == 0
+        assert weighted_majority_prob(prof, [1.0, 2.0, 1.0]).draws == 0
+
+    def test_dominant_weights_decide_in_the_first_stages(self):
+        n, replicas = 301, 2000
+        ps = np.random.default_rng(1).uniform(0.3, 0.9, n)
+        w = np.ones(n)
+        w[0] = 1e4
+        # voter 0 outweighs the rest: stage 1 is voter 0 alone and decides all
+        assert self.estimate(ps, w, replicas, 3).draws == replicas
+        w[:3] = 1e4
+        # stage 1 is voters 0 and 1; where they split, voter 2 decides
+        assert self.estimate(ps, w, replicas, 4).draws <= 3 * replicas
+
+    @pytest.mark.parametrize("p", [0.5, 0.52])
+    def test_equal_weights(self, p):
+        # few replicas are decided before stage 4, yet no draw is made twice
+        self.estimate(np.full(301, p), np.ones(301), 1000, 5)
+
+    def test_zero_and_negative_weights(self):
+        n, replicas = 201, 2000
+        ps = generate(IidSource(lebesgue()), n, seed=11).competences
+        expert = ExpertRule(0.7).weight(ps)
+        assert 0 < np.count_nonzero(expert) < n
+        log_odds = LogOdds().weight(ps)
+        assert np.any(log_odds < 0.0) and np.any(log_odds > 0.0)
+        for w in (expert, log_odds):
+            self.estimate(ps, w, replicas, 12)
+
+    def test_integer_weights_with_exact_ties(self):
+        n, replicas = 41, 3000
+        rng = np.random.default_rng(41)
+        ps = rng.uniform(0.4, 0.6, n)
+        w = rng.integers(1, 4, n).astype(float)
+        w[0] += np.sum(w) % 2  # an even total, so a score can be exactly 0
+        ties = np.count_nonzero(reference_mc_scores(ps, w, replicas, 9) == 0.0)
+        assert ties > 0
+        self.estimate(ps, w, replicas, 9)
+
+    def test_scores_within_ulps_of_zero(self):
+        rng = np.random.default_rng(7)
+        for case in range(24):
+            n = (41, 71, 101)[case % 3]
+            ps, w = near_tie(rng, n, zeros=10 * (case % 2))
+            scores = reference_mc_scores(ps, w, 400, case)
+            assert np.any(np.abs(scores) < 64 * n * 2.0**-53 * np.sum(w))
+            self.estimate(ps, w, 400, case)
+
+    def test_certain_voters(self):
+        n, replicas = 101, 1000
+        rng = np.random.default_rng(2)
+        w = rng.normal(1.0, 1.0, n)
+        for ps in (np.zeros(n), np.ones(n), rng.choice([0.0, 1.0], n)):
+            est = self.estimate(ps, w, replicas, 6)
+            assert est.value in (0.0, 1.0)
+        ps = rng.choice([0.0, 0.5, 1.0], n)
+        self.estimate(ps, w, replicas, 6)
+
+    def test_wider_than_a_block(self):
+        n, replicas = 65_537, 100
+        rng = np.random.default_rng(n)
+        ps = rng.uniform(0.45, 0.65, n)
+        est = self.estimate(ps, rng.normal(1.0, 1.0, n), replicas, 8)
+        assert est.draws < n * replicas
+
+    def test_independent_of_block_sizes(self, monkeypatch):
+        n, replicas = 301, 1500
+        rng = np.random.default_rng(3)
+        ps = rng.uniform(0.4, 0.8, n)
+        w = rng.normal(1.0, 1.0, n)
+        default = self.estimate(ps, w, replicas, 10)
+        monkeypatch.setattr(tally, "_MC_BLOCK", 1000)
+        monkeypatch.setattr(tally, "_MC_CHUNK", 200)
+        monkeypatch.setattr(tally, "_SEEN_BITS", 3000)
+        small = self.estimate(ps, w, replicas, 10)
+        assert (small.value, small.half_width, small.n_replicas) == (
+            default.value, default.half_width, default.n_replicas
+        )
+
+    def test_peak_memory_within_a_whole_row_block(self):
+        # the whole-row kernel held 8n bytes of thresholds, 8n of draws and
+        # 9n of their bools and float cast at n = 65537: 1,640,448 bytes
+        n = 65_537
+        rng = np.random.default_rng(n)
+        prof = explicit(rng.random(n))
+        for w in (np.ones(n), rng.normal(1.0, 1.0, n)):
+            weighted_majority_prob(prof, w, mode="mc", replicas=100, seed=1)
+            tracemalloc.start()
+            try:
+                weighted_majority_prob(prof, w, mode="mc", replicas=200, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 25 * n + 4096
 
 
 class TestMonteCarloInterval:

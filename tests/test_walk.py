@@ -180,6 +180,14 @@ class TestRandomWalkReturn:
             random_walk_return(1, 10, 50)
 
 
+def test_monte_carlo_routines_count_their_draws():
+    assert random_walk_return(0, 10, 1000).draws == 0
+    # a replica stops drawing at its first 512-step block that hits
+    est = random_walk_return(3, 2000, 500, seed=4)
+    assert 512 * 500 <= est.draws < 2000 * 500
+    assert moa_fraction_experiment(lebesgue(), 0.1, 0.05, 101, 200).draws == 101 * 200
+
+
 class TestMoaFractionExperiment:
     def test_all_informed(self):
         est = moa_fraction_experiment(dirac(1.0), 0.0, 0.9, 101, 200)

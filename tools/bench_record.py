@@ -8,8 +8,8 @@ quartiles of every end-to-end metric.  With `--parent`, the same runs are
 made in a second checkout too, as pairs on the same seed that alternate
 which side goes first, so both sides see the same hour of the host, and
 the file counts the pairs the change won.  One traced run per side of
-`large_exact` and of `small_committees` gives that run's whole
-`per_layer` dict (`profile.generate_s`, `measure.quantile_s`,
+every workload gives that run's whole `per_layer` dict
+(`profile.generate_s`, `tally.mc_s`, `divergence.divergences_s`,
 `experiment.self_s` and the rest), with the mean milliseconds per
 `majority_prob_exact` call at every traced size (`tally.exact_ms.n*`).
 The file also names the host and its CPU (model name, family, model,
@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACED = ("large_exact", "small_committees")
 SEEDS = tuple(range(9001, 9011))
 
 
@@ -143,7 +142,7 @@ def main(argv=None) -> int:
                 runs[side][w].append(bench(sides[side], w, seed, seconds, 0))
             print(f"bench_record: {w} seed {seed} done", file=sys.stderr)
     traced = {side: {} for side in sides}
-    for w in TRACED:
+    for w in workloads:
         for side in sides:
             bench(sides[side], w, SEEDS[0], seconds, 1)
             traced[side][w] = traced_layers(sides[side], w, SEEDS[0])
