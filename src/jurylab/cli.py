@@ -87,7 +87,7 @@ def _cmd_tally(args: argparse.Namespace) -> int:
         doc["tie_prob"] = est.tie_prob
     if est.method == "monte_carlo":
         doc["draws"] = est.draws
-    if est.method == "exact_dp":
+    if est.method in ("bound", "exact_dp"):
         doc["trimmed_mass"] = est.trimmed_mass
         doc["rounding_bound"] = est.rounding_bound
     _write_or_print(json.dumps(doc), args.out)

@@ -120,7 +120,8 @@ def _profile_outcome(config: ExperimentConfig, profile: Profile, j: int) -> tupl
         w = np.asarray(deterministic_weight(scheme, p), dtype=float)
 
     if config.tally_mode == "auto" and np.all(w == w[0]) and w[0] > 0.0:
-        return w, majority_prob_exact(profile).value, "exact_dp"
+        est = majority_prob_exact(profile)
+        return w, est.value, est.method
     if not np.any(w != 0.0):
         # e.g. an expert threshold nobody clears: the tally is always a
         # zero tie, which counts as a loss

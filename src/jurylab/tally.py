@@ -24,6 +24,15 @@ and the win probability is it or its complement, so it lies in [0, 1]
 with no clamp.  `rounding_bound` bounds the rest of its error a priori,
 from the number of roundings behind any band entry.
 
+Before the tree, a Chernoff-Hoeffding bound (Hoeffding 1963, Thm 1)
+from mu = sum p_i alone may already fix the double the tree would
+return: 1.0 when the loss tail is certainly below 2^-55, 0.0 when the
+win tail is certainly below 2^-1075 and the tree has a combine.  Then
+the tally returns that double with method "bound", trimmed_mass 0 and
+rounding_bound the certified tail bound, so |value - exact| <=
+rounding_bound still holds; in every other case the tree runs.  With
+many competent voters, the paper's regime, this skips the tree.
+
 Weighted majority uses the signed formulation X_i in {-1,+1} and
 P(sum w_i X_i > 0); ties (sum exactly 0) count as a loss, which makes
 every reported value a lower bound on the rule's competence.  Exact
@@ -114,6 +123,12 @@ _SCALE = 2.0**1000
 _UNSCALE = 2.0**-1000
 # unit roundoff of float64
 _U = 2.0**-53
+# certified tail exponents, in nats, that fix the exact tally's double:
+# e^-39 < 2^-55 and e^-746 < 2^-1075; see _chernoff_certificate
+_SURE_NATS = 39.0
+_NULL_NATS = 746.0
+# the least tail mean at which the exponent is evaluated, so s / m is finite
+_MEAN_FLOOR = 2.0**-1000
 
 
 def _anti_diagonal(width: int) -> np.ndarray:
@@ -134,7 +149,7 @@ _SELECTORS = {(1 << k) + 1: _anti_diagonal((1 << k) + 1) for k in range(_LEAF.bi
 @dataclass(frozen=True)
 class TallyEstimate:
     value: float
-    method: Literal["exact_dp", "brute_force", "monte_carlo"]
+    method: Literal["bound", "exact_dp", "brute_force", "monte_carlo"]
     half_width: float = 0.0
     n_replicas: int = 0
     tie_prob: float | None = None
@@ -257,20 +272,94 @@ def _relative_gamma(k: int) -> float:
     return k * _U / (1.0 - 2.0 * k * _U)
 
 
+def _chernoff_certificate(ps: np.ndarray) -> TallyEstimate | None:
+    """The exact tally as method "bound" when a Chernoff-Hoeffding bound
+    fixes the double the tree would return, else None.
+
+    The bound.  With s = (n + 1)/2, t = s - 1 and
+    f(m) = s ln(s/m) + t ln(t/(n - m)), a sum Y of n independent
+    variables in [0, 1] with mean m < s has P(Y >= s) <= exp(-f(m)), and
+    f decreases on (0, s) (Hoeffding 1963, Thm 1).  The win tail is
+    P(S >= s), with mean mu = sum p_i; the loss tail is P(n - S >= s),
+    with mean n - mu.  Any m >= the tail's mean with 2m <= n therefore
+    bounds the tail by exp(-f(m)).
+
+    Certifying.  mu_hat = ps.sum() is within gamma_(n-1) mu of mu (n - 1
+    additions of non-negative terms; a subnormal sum is exact), so mu is
+    within rho_n mu_hat of mu_hat, rho_k = _relative_gamma(k).  rho_(n+4)
+    is 4u more, which covers the roundings of rho and of
+    mu_hat (1 -+ rho): mu_lo <= mu <= mu_hi.  The loss side takes
+    m = n - mu_lo when 2 mu_lo >= n, exact by Sterbenz; the win side
+    takes m = mu_hi when 2 mu_hi <= n.  Raising m to 2^-1000 keeps it an
+    upper bound and s/m finite.  With log faithful (error below one
+    ulp), the computed T1 = s ln(s/m) is within 1.01 u s + 3.01 u T1 of
+    the exact one, and T2 = t ln(t/(n - m)), with |T2| <= t ln 3, within
+    5.4 u t; with the rounding of T1 + T2, the computed f is within
+    8.7 u n + 4.1 u f of f(m), to first order.  So
+    E = fl(fl(f (1 - 16u)) - 16 u n) <= f(m), and the tail is at most
+    exp(-E) <= B = nextafter(exp(-E), inf), with exp faithful; B is at
+    least 2^-1074.
+
+    Why the tree returns the same double.  Every band entry is within
+    gamma_K of the exact mass of its untrimmed outcomes, apart from
+    fewer than (n + _LEAF)^2 underflows of at most 2^-1074 in all (see
+    majority_prob_exact), and gamma_K < 1e-10 at n <= MAX_EXACT_N.
+    - 1.0: E >= 39 puts the loss tail L below e^-39 < 2^-55.  The
+      tree's lower tail sums to at most
+      (1 + u)((1 + gamma_K) 2^-55 + 2^-1000) < 2^-54, far below its
+      upper tail, so it returns 1 - fsum(lower), which rounds to 1.0.
+    - 0.0: E >= 746 puts the win tail below e^-746 < 2^-1075, and each
+      computed upper entry below 2^-1000 < _TRIM.  When n > _LEAF the
+      final band comes from a combine, whose trim cuts everything past
+      its last entry at or above _TRIM, an entry of the lower tail,
+      whose mass is nearly 1.  The upper tail is then empty and the
+      tree returns fsum([]) = 0.0.  A lone leaf is never trimmed, and
+      its entries may round up from below 2^-1075, so n <= _LEAF is
+      left to the tree.
+    """
+    n = len(ps)
+    s, t = (n + 1) // 2, (n - 1) // 2
+    mu = float(ps.sum())
+    rho = _relative_gamma(n + 4)
+    mu_lo = mu * (1.0 - rho)
+    if 2.0 * mu_lo >= n:
+        m, value, nats = n - mu_lo, 1.0, _SURE_NATS
+    else:
+        mu_hi = mu * (1.0 + rho)
+        if 2.0 * mu_hi > n or n <= _LEAF:
+            return None
+        m, value, nats = max(mu_hi, _MEAN_FLOOR), 0.0, _NULL_NATS
+    f = s * math.log(s / m) + (t * math.log(t / (n - m)) if t else 0.0)
+    exponent = f * (1.0 - 16.0 * _U) - 16.0 * _U * n
+    if not exponent >= nats:
+        return None
+    bound = math.nextafter(math.exp(-exponent), math.inf)
+    return TallyEstimate(value=value, method="bound", rounding_bound=bound)
+
+
 def majority_prob_exact(profile: Profile) -> TallyEstimate:
     """Exact P(sum X_i > n/2) for independent X_i ~ Bernoulli(p_i).
 
-    trimmed_mass bounds the probability lost to the band trim, and
-    |value - exact| <= rounding_bound + trimmed_mass.  rounding_bound is
-    a priori: every band entry is within gamma_K (see _rounding_depth)
-    of the exact mass of its untrimmed outcomes, which bounds the
-    smaller tail's error; to that it adds the rounding of fsum and of
-    1 - x, the slack between the computed and exact trimmed mass, and
-    2^-1074 for each of the fewer than (n + _LEAF)^2 products and entries
-    that may underflow (convolving with PMFs never grows an L1 error).
+    When a Chernoff-Hoeffding bound already fixes the value the product
+    tree would return (1.0 or 0.0), that value comes back with method
+    "bound", trimmed_mass 0 and rounding_bound the certified bound on
+    the tail it leaves out (`_chernoff_certificate`); the tree is not
+    built.  Either way |value - exact| <= rounding_bound + trimmed_mass.
+
+    Otherwise trimmed_mass bounds the probability lost to the band
+    trim, and rounding_bound is a priori: every band entry is within
+    gamma_K (see _rounding_depth) of the exact mass of its untrimmed
+    outcomes, which bounds the smaller tail's error; to that it adds the
+    rounding of fsum and of 1 - x, the slack between the computed and
+    exact trimmed mass, and 2^-1074 for each of the fewer than
+    (n + _LEAF)^2 products and entries that may underflow (convolving
+    with PMFs never grows an L1 error).
     """
     n = profile.n
     ps = _checked_probs(profile)
+    certified = _chernoff_certificate(ps)
+    if certified is not None:
+        return certified
     offset, band, trimmed = poisson_binomial_pmf(ps)
     split = max((n + 1) // 2 - offset, 0)
     lower, upper = band[:split], band[split:]
@@ -278,7 +367,8 @@ def majority_prob_exact(profile: Profile) -> TallyEstimate:
     if upper.sum() <= lower.sum():
         tail = value = math.fsum(upper.tolist())
     else:
-        tail = math.fsum(lower.tolist())
+        # largest terms first: fsum's fast case, the same rounded sum
+        tail = math.fsum(lower[::-1].tolist())
         value = 1.0 - tail
     depth = _rounding_depth(n)
     bound = (
@@ -296,8 +386,10 @@ def majority_prob_exact(profile: Profile) -> TallyEstimate:
 def anti_majority_prob_exact(profile: Profile) -> TallyEstimate:
     """Exact P(sum X_i < n/2): majority computed on the mirrored profile.
 
-    Its bounds are those of the mirrored profile, whose competences are
-    the floats nearest 1 - p_i.
+    Its method and bounds are those of the mirrored profile, whose
+    competences are the floats nearest 1 - p_i: "bound" with value 0.0
+    or 1.0 when the Chernoff-Hoeffding certificate fixes that profile's
+    tally, else "exact_dp".
     """
     ps = _checked_probs(profile)
     flipped = Profile(1.0 - ps, profile.source, profile.seed)

@@ -26,6 +26,15 @@ class TestTally:
         assert doc["trimmed_mass"] == 0.0
         assert 0.0 < doc["rounding_bound"] < 1e-14
 
+    def test_certified_tally_reports_its_bound(self, tmp_path, capsys):
+        # 10001 voters at 0.99: the Chernoff certificate fixes the value
+        path = tmp_path / "profile.txt"
+        path.write_text(",".join(["0.99"] * 10_001))
+        assert main(["tally", "--profile-file", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["value"], doc["method"], doc["trimmed_mass"]) == (1.0, "bound", 0.0)
+        assert 0.0 < doc["rounding_bound"] < 1e-15
+
     def test_even_profile_exits_one(self, capsys):
         assert main(["tally", "--profile", "0.6,0.6"]) == 1
         assert "even" in capsys.readouterr().err

@@ -182,6 +182,11 @@ class TestRun:
         assert report.rows[0].drift_estimate == pytest.approx(closed, rel=0.05)
         assert report.rows[0].method == "monte_carlo"
 
+    def test_unit_weights_report_the_tally_method(self):
+        # CJT profiles at n = 5001 are certified without the product tree
+        cfg = small_config(measure=affine(1.0), n_grid=(1001, 5001), profiles_per_n=10)
+        assert [r.method for r in run(cfg).rows] == ["exact_dp", "bound"]
+
     def test_unequal_deterministic_weights_small_n_use_brute(self):
         cfg = small_config(scheme=LogOdds(), n_grid=(11,), profiles_per_n=10)
         report = run(cfg)

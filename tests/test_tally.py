@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,6 +96,13 @@ def reference_tree_pmf(ps) -> tuple[int, np.ndarray, float]:
         nodes = paired
     offset, band = nodes[0]
     return offset, band, trimmed
+
+
+def tree_estimate(tally_fn, profile):
+    """`tally_fn` (majority or anti-majority) with the Chernoff certificate
+    off: the product tree's estimate."""
+    with mock.patch.object(tally, "_chernoff_certificate", return_value=None):
+        return tally_fn(profile)
 
 
 def exact_majority(ps) -> Fraction:
@@ -293,14 +301,18 @@ class TestRoundingBound:
             np.where(rng.random(n) < 0.5, rng.random(n), rng.choice(extremes, n)),
         )
         for ps in profiles:
-            for est, exact in (
-                (majority_prob_exact(explicit(ps)), exact_majority(ps)),
-                (anti_majority_prob_exact(explicit(ps)), exact_majority(1.0 - ps)),
+            for tally_fn, exact in (
+                (majority_prob_exact, exact_majority(ps)),
+                (anti_majority_prob_exact, exact_majority(1.0 - ps)),
             ):
-                assert est.method == "exact_dp"
+                est = tally_fn(explicit(ps))
+                assert est.method in ("bound", "exact_dp")
                 assert 0.0 < est.rounding_bound < 1e-13
                 err = abs(Fraction(est.value) - exact)
                 assert err <= Fraction(est.rounding_bound) + Fraction(est.trimmed_mass), ps
+                if est.method == "bound":
+                    assert est.value in (0.0, 1.0) and est.trimmed_mass == 0.0
+                    assert est.value == tree_estimate(tally_fn, explicit(ps)).value
 
     def test_covers_the_band_mass_at_n_10001(self):
         # every p = 0.99: the band's mass is 1 - 5.5e-14, which the value
@@ -313,6 +325,139 @@ class TestRoundingBound:
         assert 1.0 - mass <= entry * mass + trimmed
         est = majority_prob_exact(explicit(np.full(n, 0.99)))
         assert 0.0 < est.rounding_bound < 1e-15
+
+
+def certificate_edge(n: int, lo: float, hi: float) -> tuple[float, float]:
+    """Adjacent floats a < b in [lo, hi] between which the certificate for
+    n voters of equal competence switches between declining and firing."""
+
+    def fires(bits: int) -> bool:
+        p = float(np.int64(bits).view(np.float64))
+        return tally._chernoff_certificate(np.full(n, p)) is not None
+
+    a, b = np.array([lo, hi]).view(np.int64).tolist()
+    at_a = fires(a)
+    assert fires(b) != at_a
+    # positive floats order as their bit patterns
+    while b - a > 1:
+        c = (a + b) // 2
+        a, b = (c, b) if fires(c) == at_a else (a, c)
+    return tuple(np.array([a, b]).view(np.float64).tolist())
+
+
+def chernoff_exponent(n: int, m: float) -> float:
+    """f(m) = s ln(s/m) + t ln(t/(n - m)): the certificate's exponent for a
+    tail P(Y >= s) whose mean is m."""
+    s, t = (n + 1) // 2, (n - 1) // 2
+    return s * math.log(s / m) + (t * math.log(t / (n - m)) if t else 0.0)
+
+
+class TestChernoffCertificate:
+    def test_never_disagrees_with_the_tree(self):
+        rng = np.random.default_rng(1717)
+        extremes = np.array([0.0, 1.0, 1e-200, 1.0 - 2.0**-53])
+        seen = set()
+        for n in (*range(1, 100, 2), 101, 129, 1001, 4001):
+            profiles = (
+                rng.random(n),
+                rng.choice(extremes, n),
+                np.where(rng.random(n) < 0.5, rng.random(n), rng.choice(extremes, n)),
+                np.full(n, extremes[n % 4]),
+                rng.uniform(0.9, 1.0, n),
+                rng.uniform(0.0, 1e-30, n),
+            )
+            for ps in profiles:
+                for tally_fn in (majority_prob_exact, anti_majority_prob_exact):
+                    est = tally_fn(explicit(ps))
+                    tree = tree_estimate(tally_fn, explicit(ps))
+                    assert est.value.hex() == tree.value.hex(), (n, ps)
+                    if est.method == "bound":
+                        seen.add(est.value)
+                        assert est.trimmed_mass == 0.0
+                        assert 2.0**-1074 <= est.rounding_bound < 2.0**-55
+                    else:
+                        assert est == tree
+        assert seen == {0.0, 1.0}
+
+    @pytest.mark.parametrize("n", (5001, 10_001, 20_001))
+    def test_cjt_sweeps_are_certified(self, n):
+        for seed in range(3):
+            prof = generate(IidSource(affine(1.0)), n, seed=seed)
+            est = majority_prob_exact(prof)
+            assert (est.value, est.method, est.trimmed_mass) == (1.0, "bound", 0.0)
+            assert 0.0 < est.rounding_bound < 2.0**-55
+            assert tree_estimate(majority_prob_exact, prof).value == 1.0
+            # the mirrored win tail is far above 2^-1075: the tree decides it
+            anti = anti_majority_prob_exact(prof)
+            assert anti.method == "exact_dp"
+            assert anti == tree_estimate(anti_majority_prob_exact, prof)
+
+    @pytest.mark.parametrize("n", (1001, 5001, 10_001, 20_001))
+    def test_declines_on_the_null(self, n):
+        for seed in range(5):
+            ps = generate(IidSource(lebesgue()), n, seed=seed).competences
+            assert tally._chernoff_certificate(ps) is None
+            assert tally._chernoff_certificate(1.0 - ps) is None
+
+    @pytest.mark.parametrize("n", (3, 101, 1001, 20_001))
+    def test_either_side_of_the_sure_margin(self, n):
+        below, above = certificate_edge(n, 0.5, 1.0)
+        # the switch sits where the exponent crosses 39 nats, moved only by
+        # the widening of mu (about rho n) and the allowance for rounding
+        widen = 2.0 * tally._relative_gamma(n + 4) * n
+        assert 39.0 < chernoff_exponent(n, n * (1.0 - above))
+        assert chernoff_exponent(n, n * (1.0 - below) + widen) < 39.0 + 1e-9
+        for p, method in ((below, "exact_dp"), (above, "bound")):
+            prof = explicit(np.full(n, p))
+            est = majority_prob_exact(prof)
+            assert est.method == method
+            assert est.value == tree_estimate(majority_prob_exact, prof).value == 1.0
+
+    @pytest.mark.parametrize("n", (33, 101, 1001))
+    def test_either_side_of_the_null_margin(self, n):
+        inside, outside = certificate_edge(n, 1e-300, 0.5)
+        widen = 1.0 + 2.0 * tally._relative_gamma(n + 4)
+        assert 746.0 < chernoff_exponent(n, n * inside)
+        assert chernoff_exponent(n, n * outside * widen) < 746.0 + 1e-9
+        for p, method in ((inside, "bound"), (outside, "exact_dp")):
+            prof = explicit(np.full(n, p))
+            est = majority_prob_exact(prof)
+            assert est.method == method
+            assert est.value == tree_estimate(majority_prob_exact, prof).value == 0.0
+
+    def test_a_lone_leaf_is_left_to_the_tree(self):
+        # below 2^-1075 but no combine trims the leaf: the tree decides
+        prof = explicit(np.full(tally._LEAF - 1, 1e-200))
+        assert majority_prob_exact(prof).method == "exact_dp"
+        assert majority_prob_exact(explicit(np.full(tally._LEAF + 1, 1e-200))).method == "bound"
+
+    def test_covers_the_fraction_oracle_at_n_101(self):
+        # a loss tail near 1e-24 and a win tail near 2^-1600, both nonzero
+        for p, value in ((0.9, 1.0), (1e-10, 0.0)):
+            ps = np.full(101, p)
+            est = majority_prob_exact(explicit(ps))
+            assert (est.method, est.value) == ("bound", value)
+            err = abs(Fraction(est.value) - exact_majority(ps))
+            assert 0 < err <= Fraction(est.rounding_bound)
+
+    def test_lower_tail_sum_is_order_free(self):
+        # the smaller lower tail is summed largest first: the same double as
+        # summing it in band order
+        rng = np.random.default_rng(1718)
+        profiles = (
+            rng.uniform(0.5, 0.7, 101),
+            generate(IidSource(affine(1.0)), 1001, seed=4).competences,
+            np.full(1001, 0.6),
+        )
+        for ps in profiles:
+            n = len(ps)
+            offset, band, _ = poisson_binomial_pmf(ps)
+            lower, upper = band[: (n + 1) // 2 - offset], band[(n + 1) // 2 - offset :]
+            assert lower.sum() < upper.sum()
+            est = majority_prob_exact(explicit(ps))
+            assert est.method == "exact_dp"
+            assert 0.0 < 1.0 - est.value
+            assert est.value == 1.0 - math.fsum(lower.tolist())
 
 
 class TestMajorityExact:
