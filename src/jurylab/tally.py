@@ -290,8 +290,8 @@ def _chernoff_certificate(ps: np.ndarray) -> TallyEstimate | None:
     is 4u more, which covers the roundings of rho and of
     mu_hat (1 -+ rho): mu_lo <= mu <= mu_hi.  The loss side takes
     m = n - mu_lo when 2 mu_lo >= n, exact by Sterbenz; the win side
-    takes m = mu_hi when 2 mu_hi <= n.  Raising m to 2^-1000 keeps it an
-    upper bound and s/m finite.  With log faithful (error below one
+    takes m = mu_hi when 2 mu_hi <= n, raised to at least 2^-1000, which
+    keeps it an upper bound and s/m finite.  With log faithful (error below one
     ulp), the computed T1 = s ln(s/m) is within 1.01 u s + 3.01 u T1 of
     the exact one, and T2 = t ln(t/(n - m)), with |T2| <= t ln 3, within
     5.4 u t; with the rounding of T1 + T2, the computed f is within
