@@ -63,21 +63,27 @@ class KakutaniVerdict:
     diagnosis: Literal["summable", "diverging", "inconclusive"]
 
 
-def _merged_grid(p: MeasureSpec, q: MeasureSpec) -> list[tuple[float, float]]:
-    pts = sorted(
-        {0.0, 1.0}
-        | {v for lo, hi, _, _ in p.pieces for v in (lo, hi)}
-        | {v for lo, hi, _, _ in q.pieces for v in (lo, hi)}
-    )
-    return [(a, b) for a, b in zip(pts, pts[1:]) if b > a]
+_NO_DENSITY = (0.0, 0.0)  # coefficients off a measure's pieces
+_PAST_END = ((math.inf, math.inf, 0.0, 0.0),)  # closes each piece list of a walk
 
 
-def _coeffs_on(spec: MeasureSpec, a: float, b: float) -> tuple[float, float]:
-    mid = 0.5 * (a + b)
-    for lo, hi, c0, c1 in spec.pieces:
-        if lo <= mid <= hi:
-            return c0, c1
-    return 0.0, 0.0
+def _merged_pieces(p: MeasureSpec, q: MeasureSpec):
+    """(a, b, (pc0, pc1), (qc0, qc1)) for each piece [a, b] of the grid of
+    0, 1 and both measures' piece ends: one pass with a pointer into each
+    ordered piece list.  [a, b] takes the first piece whose upper end
+    reaches its midpoint if that piece starts at or below it, else 0."""
+    grid = sorted({0.0, 1.0, *(x for piece in p.pieces + q.pieces for x in piece[:2])})
+    pp, qq = p.pieces + _PAST_END, q.pieces + _PAST_END
+    i = j = 0
+    for a, b in zip(grid, grid[1:]):
+        mid = 0.5 * (a + b)
+        while pp[i][1] < mid:
+            i += 1
+        while qq[j][1] < mid:
+            j += 1
+        pc = pp[i][2:] if pp[i][0] <= mid else _NO_DENSITY
+        qc = qq[j][2:] if qq[j][0] <= mid else _NO_DENSITY
+        yield a, b, pc, qc
 
 
 def _affine_root_inside(c0: float, c1: float, a: float, b: float) -> float | None:
@@ -111,34 +117,42 @@ def divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
         return DivergenceReport(
             tv=0.0, kl=0.0, hellinger_affinity=1.0, hellinger_distance=0.0, bhattacharyya=0.0
         )
-    tv = 0.0
-    kl = 0.0
-    aff = 0.0
-    for a0, b0 in _merged_grid(p, q):
-        pc0, pc1 = _coeffs_on(p, a0, b0)
-        qc0, qc1 = _coeffs_on(q, a0, b0)
-        if (pc0, pc1) == (qc0, qc1):
+    tv = kl = aff = 0.0
+    for a0, b0, pc, qc in _merged_pieces(p, q):
+        (pc0, pc1), (qc0, qc1) = pc, qc
+        if pc == qc:
             aff += pc0 * (b0 - a0) + 0.5 * pc1 * (b0 * b0 - a0 * a0)
+            continue
+        dc0, dc1 = pc0 - qc0, pc1 - qc1
+        if pc == _NO_DENSITY or qc == _NO_DENSITY:
+            # one density is 0: no affinity, and KL is +inf wherever p has
+            # mass; TV is split at the other density's root
+            r = _affine_root_inside(dc0, dc1, a0, b0)
+            for a, b in ((a0, b0),) if r is None else ((a0, r), (r, b0)):
+                tv += abs(dc0 * (b - a) + 0.5 * dc1 * (b * b - a * a))
+                if qc == _NO_DENSITY and not _is_zero(pc0, pc1, a, b):
+                    kl = math.inf
             continue
         p_root = _affine_root_inside(pc0, pc1, a0, b0)
         q_root = _affine_root_inside(qc0, qc1, a0, b0)
-        d_root = _affine_root_inside(pc0 - qc0, pc1 - qc1, a0, b0)
-        grid = sorted({a0, b0} | {r for r in (p_root, q_root, d_root) if r is not None})
-        ends = [(_end_value(pc0, pc1, x, p_root), _end_value(qc0, qc1, x, q_root)) for x in grid]
-        for a, b, (u0, v0), (u1, v1) in zip(grid, grid[1:], ends, ends[1:]):
-            p_zero = _is_zero(pc0, pc1, a, b)
-            q_zero = _is_zero(qc0, qc1, a, b)
-            # TV: sign of rho_p - rho_q is constant after the root split
-            tv += abs(
-                (pc0 - qc0) * (b - a) + 0.5 * (pc1 - qc1) * (b * b - a * a)
-            )
-            if not (p_zero or q_zero):
-                aff += _affinity_piece(b - a, u0, u1, v0, v1)
-            if not p_zero:
-                if q_zero:
-                    kl = math.inf
-                elif not math.isinf(kl):
-                    kl += _kl_piece(b - a, u0, u1, v0, v1)
+        grid = sorted({a0, b0, p_root, q_root, _affine_root_inside(dc0, dc1, a0, b0)} - {None})
+        a = None
+        for b in grid:
+            # end values: exactly 0 at a density's own cut root, and never
+            # below 0 (a spec may dip to -1e-12 at a piece end)
+            rp, rq = pc0 + pc1 * b, qc0 + qc1 * b
+            u1 = 0.0 if b == p_root else max(0.0, rp)
+            v1 = 0.0 if b == q_root else max(0.0, rq)
+            p_zero1, q_zero1 = abs(rp) < _ZERO_DENSITY, abs(rq) < _ZERO_DENSITY
+            if a is not None:
+                p_zero, q_zero = p_zero0 and p_zero1, q_zero0 and q_zero1
+                # TV: sign of rho_p - rho_q is constant after the root split
+                tv += abs(dc0 * (b - a) + 0.5 * dc1 * (b * b - a * a))
+                if not (p_zero or q_zero):
+                    aff += _affinity_piece(b - a, u0, u1, v0, v1)
+                if not (p_zero or math.isinf(kl)):
+                    kl = math.inf if q_zero else kl + _kl_piece(b - a, u0, u1, v0, v1)
+            a, u0, v0, p_zero0, q_zero0 = b, u1, v1, p_zero1, q_zero1
     p_atoms = dict(p.atoms)
     q_atoms = dict(q.atoms)
     for x in sorted(set(p_atoms) | set(q_atoms)):
@@ -159,12 +173,6 @@ def divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
         hellinger_distance=hd,
         bhattacharyya=bhat,
     )
-
-
-def _end_value(c0: float, c1: float, x: float, root: float | None) -> float:
-    """Density c0 + c1*x at a sub-piece end: exactly 0 at its own cut
-    root, and never below 0 (a spec may dip to -1e-12 at a piece end)."""
-    return 0.0 if x == root else max(0.0, c0 + c1 * x)
 
 
 # Taylor coefficients.  Each series has a fixed length that reaches
@@ -314,9 +322,7 @@ def absolutely_continuous(p: MeasureSpec, base: MeasureSpec) -> bool:
     for x, m in p.atoms:
         if m > 0.0 and base_atoms.get(x, 0.0) <= 0.0:
             return False
-    for a, b in _merged_grid(p, base):
-        pc0, pc1 = _coeffs_on(p, a, b)
-        bc0, bc1 = _coeffs_on(base, a, b)
+    for a, b, (pc0, pc1), (bc0, bc1) in _merged_pieces(p, base):
         if _is_zero(pc0, pc1, a, b):
             continue
         # a non-trivial affine base density vanishes on at most one

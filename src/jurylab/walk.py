@@ -37,7 +37,7 @@ __all__ = [
 MAX_ENUM_M = 12
 _WALK_TAG = 0x57A1
 _MOA_TAG = 0x40A0
-_STEP_BLOCK = 512  # 12 bytes of buffers per replica and step: 61 MB at 1e4 replicas
+_STEP_BLOCK = 128  # 12 bytes of buffers per replica and step: 15 MB at 1e4 replicas
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,6 @@ import pytest
 from jurylab.divergence import (
     DivergenceReport,
     _affine_root_inside,
-    _coeffs_on,
-    _is_zero,
-    _merged_grid,
     absolutely_continuous,
     divergences,
     kakutani_criterion,
@@ -28,6 +26,27 @@ def tilt(eps: float) -> MeasureSpec:
 
 # density 1 + 1e-12 (x - 1/2): a slope of 1e-12 against unit density
 TINY_SLOPE = MeasureSpec(pieces=((0.0, 1.0, 1.0 - 5e-13, 1e-12),))
+
+
+def _merged_grid(p: MeasureSpec, q: MeasureSpec) -> list[tuple[float, float]]:
+    pts = sorted(
+        {0.0, 1.0}
+        | {v for lo, hi, _, _ in p.pieces for v in (lo, hi)}
+        | {v for lo, hi, _, _ in q.pieces for v in (lo, hi)}
+    )
+    return [(a, b) for a, b in zip(pts, pts[1:]) if b > a]
+
+
+def _coeffs_on(spec: MeasureSpec, a: float, b: float) -> tuple[float, float]:
+    mid = 0.5 * (a + b)
+    for lo, hi, c0, c1 in spec.pieces:
+        if lo <= mid <= hi:
+            return c0, c1
+    return 0.0, 0.0
+
+
+def _is_zero(c0: float, c1: float, a: float, b: float) -> bool:
+    return abs(c0 + c1 * a) < 1e-300 and abs(c0 + c1 * b) < 1e-300
 
 
 def reference_divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
@@ -291,3 +310,80 @@ class TestKakutani:
     def test_short_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
             kakutani_criterion(lebesgue(), (lebesgue() for _ in range(10)), "tv", horizon=3)
+
+
+def adjacent_measure(rng: np.random.Generator) -> MeasureSpec:
+    """Two affine pieces that meet at a random point and cover [0, 1]."""
+    x = float(rng.uniform(0.2, 0.8))
+    pieces = [(0.0, x), (x, 1.0)]
+    coeffs = [(float(rng.uniform(0.1, 2.0)), float(rng.uniform(-0.1, 1.0))) for _ in pieces]
+    raw = [(lo, hi, c0, c1) for (lo, hi), (c0, c1) in zip(pieces, coeffs)]
+    mass = sum(c0 * (hi - lo) + 0.5 * c1 * (hi * hi - lo * lo) for lo, hi, c0, c1 in raw)
+    return MeasureSpec(pieces=tuple((lo, hi, c0 / mass, c1 / mass) for lo, hi, c0, c1 in raw))
+
+
+def dipping_measure(rng: np.random.Generator) -> MeasureSpec:
+    """A density 2x or 2(1 - x) tilted to dip below 0 by at most 1e-12
+    at one end, so that its root falls just inside [0, 1]."""
+    d = float(rng.uniform(1e-14, 9e-13))
+    if rng.integers(0, 2):
+        return MeasureSpec(pieces=((0.0, 1.0, 2.0 + d, -2.0 - 2.0 * d),))
+    return MeasureSpec(pieces=((0.0, 1.0, -d, 2.0 + 2.0 * d),))
+
+
+def pinned_pairs() -> list[tuple[MeasureSpec, MeasureSpec]]:
+    """2,000 random pairs of every kind, 200 with pieces that meet, 300
+    with a density that dips below 0 inside a piece, and 200 identity
+    pairs, half of them equal copies."""
+    rng = np.random.default_rng(18)
+    specs = [random_measure(rng) for _ in range(4000)]
+    pairs = list(zip(specs[::2], specs[1::2]))
+    for _ in range(100):
+        pairs.append((adjacent_measure(rng), random_measure(rng)))
+        pairs.append((random_measure(rng), adjacent_measure(rng)))
+        pairs.append((dipping_measure(rng), random_measure(rng)))
+        pairs.append((random_measure(rng), dipping_measure(rng)))
+        pairs.append((dipping_measure(rng), dipping_measure(rng)))
+    pairs += [(s, s) for s in specs[:100]]
+    pairs += [(s, MeasureSpec(pieces=s.pieces, atoms=s.atoms)) for s in specs[100:200]]
+    return pairs
+
+
+def digest(values) -> str:
+    return hashlib.sha256("\n".join(float(v).hex() for v in values).encode()).hexdigest()[:16]
+
+
+class TestPinnedBitForBit:
+    """Digests recorded with the grid-and-scan divergences that preceded
+    the merged-piece walk: any moved bit of any output changes them."""
+
+    def test_pairs_cover_every_kind(self):
+        specs = [s for pair in pinned_pairs() for s in pair]
+        assert {len(s.pieces) for s in specs} == {1, 2}
+        assert any(s.atoms for s in specs)
+        assert any(s.pieces[0][1] == s.pieces[1][0] for s in specs if len(s.pieces) == 2)
+
+    def test_divergence_reports(self):
+        reports = [divergences(p, q) for p, q in pinned_pairs()]
+        assert digest(getattr(r, f) for r in reports for f in FIELDS) == "650ca37ea8645b73"
+
+    def test_absolute_continuity_verdicts(self):
+        verdicts = "".join("1" if absolutely_continuous(p, q) else "0" for p, q in pinned_pairs())
+        assert hashlib.sha256(verdicts.encode()).hexdigest()[:16] == "aee47d988ffad3a3"
+
+    @pytest.mark.parametrize(
+        "kind, eps, choice, pinned",
+        [
+            ("geometric", 0.5, "tv", "bfeeea2e96d53dfc"),
+            ("geometric", 0.7, "kl", "f880203814fe1d86"),
+            ("constant", 0.3, "bhattacharyya", "7c8a3d5522785cec"),
+            ("constant", -0.8, "tv", "d9070b1d33076b61"),
+        ],
+    )
+    def test_kakutani_traces(self, kind, eps, choice, pinned):
+        if kind == "geometric":
+            perturbations = (tilt(eps**n) for n in range(1, 100))
+        else:
+            perturbations = (tilt(eps) for _ in range(100))
+        v = kakutani_criterion(lebesgue(), perturbations, choice, horizon=64)
+        assert digest([*v.partial_sums, *v.partial_products]) == pinned

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from jurylab import streams
+from jurylab import streams, walk
 from jurylab.measure import affine, dirac, lebesgue
 from jurylab.tally import monte_carlo_estimate
 from jurylab.walk import (
@@ -182,10 +183,22 @@ class TestRandomWalkReturn:
 
 def test_monte_carlo_routines_count_their_draws():
     assert random_walk_return(0, 10, 1000).draws == 0
-    # a replica stops drawing at its first 512-step block that hits
+    # a replica stops drawing at the end of its first step block that hits
     est = random_walk_return(3, 2000, 500, seed=4)
-    assert 512 * 500 <= est.draws < 2000 * 500
+    assert walk._STEP_BLOCK * 500 <= est.draws < 2000 * 500
     assert moa_fraction_experiment(lebesgue(), 0.1, 0.05, 101, 200).draws == 101 * 200
+
+
+def test_walk_buffers_stay_one_step_block_wide():
+    # the bits and step buffers take 12 bytes per replica and step: 5.9 MiB
+    # for 4000 replicas and 128-step blocks (24 MiB with 512-step blocks)
+    tracemalloc.start()
+    try:
+        random_walk_return(10, 4000, 4000, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 class TestMoaFractionExperiment:
