@@ -71,7 +71,8 @@ def _merged_pieces(p: MeasureSpec, q: MeasureSpec):
     """(a, b, (pc0, pc1), (qc0, qc1)) for each piece [a, b] of the grid of
     0, 1 and both measures' piece ends: one pass with a pointer into each
     ordered piece list.  [a, b] takes the first piece whose upper end
-    reaches its midpoint if that piece starts at or below it, else 0."""
+    reaches its midpoint if that piece starts at or below it, else
+    _NO_DENSITY."""
     grid = sorted({0.0, 1.0, *(x for piece in p.pieces + q.pieces for x in piece[:2])})
     pp, qq = p.pieces + _PAST_END, q.pieces + _PAST_END
     i = j = 0
@@ -106,12 +107,14 @@ def divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
     Otherwise, continuous parts are taken piece by piece on the merged
     piece grid.  Where rho_p and rho_q coincide, the piece is done in
     closed form: its affinity term is the piece mass and its TV and KL
-    terms are 0.  The other pieces are split at the affine roots of
-    rho_p, rho_q and rho_p - rho_q.  On each sub-piece both densities
-    are affine and non-negative, fixed by their end values (exactly 0
-    at a cut root), and every term has a closed form: TV from the
-    signed mass, the affinity from `_affinity_piece` and the KL term
-    from `_kl_piece`.  Atom terms are exact.  No quadrature is used.
+    terms are 0.  Where one of them is identically 0, the piece has only
+    a TV term, and a KL of +inf if p has mass there.  The other pieces
+    are split at the affine roots of rho_p, rho_q and rho_p - rho_q.  On
+    each sub-piece both densities are affine and non-negative, fixed by
+    their end values (exactly 0 at a cut root), and every term has a
+    closed form: TV from the signed mass, the affinity from
+    `_affinity_piece` and the KL term from `_kl_piece`.  Atom terms are
+    exact.  No quadrature is used.
     """
     if p.pieces == q.pieces and p.atoms == q.atoms:
         return DivergenceReport(
