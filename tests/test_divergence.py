@@ -28,6 +28,7 @@ def tilt(eps: float) -> MeasureSpec:
 TINY_SLOPE = MeasureSpec(pieces=((0.0, 1.0, 1.0 - 5e-13, 1e-12),))
 
 
+# the reference's own grid helpers, independent of the library's merged-piece walk
 def _merged_grid(p: MeasureSpec, q: MeasureSpec) -> list[tuple[float, float]]:
     pts = sorted(
         {0.0, 1.0}
