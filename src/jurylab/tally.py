@@ -2,20 +2,21 @@
 
 Simple majority over odd n uses the exact Poisson-binomial upper tail
 P(sum X_i > n/2), X_i in {0,1}.  The PMF comes from a product tree whose
-leaves hold 32 voters, or the next power of two at or above a smaller n,
-padded with p = 0 voters, whose PMF [1, 0] is neutral.  The leaf PMFs
-come from batched doubling: each voter starts as the column [1 - p, p],
-and each of at most five levels convolves every adjacent pair of
-columns at once, forming all their outer products in one array and
-summing its anti-diagonals with one matmul against a 0/1 selector.  The
-leaves are then combined pairwise by direct convolution of one band
-scaled by 2^1000 with the other, and the result is scaled back by
-2^-1000.  Kept entries are at least 1e-300 > 2^-997, so every scaled
-product of two of them is normal and no combine of trimmed bands pays
-for subnormal arithmetic; any scale from 2^972 to below 2^1024 would
-do, and a power of two changes no rounding of a normal product.  Every term is a sum of non-negative
-products, and the selector multiplies only by an exact 1.0 or 0.0, so
-each entry keeps the DP's relative accuracy.  After each combine whose
+leaves hold 128 voters (64 from 129 to 191 voters), or the next power of
+two at or above n <= 128, padded with p = 0 voters, whose PMF [1, 0] is
+neutral.  The leaf PMFs come from batched Toeplitz doubling: each voter
+starts as the PMF [1 - p, p], and each of at most seven levels
+convolves the first half of the PMFs with the second half, all pairs
+in one einsum of the first PMFs against a Toeplitz window, a strided
+view of the zero-padded second ones.  The leaves are then combined
+pairwise by direct convolution of one band scaled by 2^1000 with the
+other, and the result is scaled back by 2^-1000.  Kept entries are at
+least 1e-300 > 2^-997, so every scaled product of two of them is normal
+and no combine of trimmed bands pays for subnormal arithmetic; any
+scale from 2^972 to below 2^1024 would do, and a power of two changes
+no rounding of a normal product.  Every term is a sum of non-negative
+products, and the window's padding adds only exact zeros, so each
+entry keeps the DP's relative accuracy.  After each combine whose
 band has an end below 1e-300, entries below 1e-300 are cut from both
 ends and their mass is added to a running `trimmed_mass`; convolving
 with probability vectors cannot grow an L1 error, so that sum bounds
@@ -116,7 +117,7 @@ _STAGES = 4
 # packed correct-or-not flags held per group of Monte Carlo replicas
 _SEEN_BITS = 1 << 20
 # product-tree leaf size and the band trim threshold of the exact tally
-_LEAF = 32
+_LEAF = 128
 _TRIM = 1e-300
 # exact power-of-two scale of every tree combine; see poisson_binomial_pmf
 _SCALE = 2.0**1000
@@ -129,21 +130,6 @@ _SURE_NATS = 39.0
 _NULL_NATS = 746.0
 # the least tail mean at which the exponent is evaluated, so s / m is finite
 _MEAN_FLOOR = 2.0**-1000
-
-
-def _anti_diagonal(width: int) -> np.ndarray:
-    """0/1 matrix taking the row-major flattened width-by-width outer
-    product of two PMFs to their convolution: entry (i + j, i * width + j)
-    is 1."""
-    k = np.arange(width * width)
-    sel = np.zeros((2 * width - 1, width * width))
-    sel[k // width + k % width, k] = 1.0
-    sel.flags.writeable = False
-    return sel
-
-
-# the leaf stage's selectors by PMF length: 2, 3, 5, 9, 17 for _LEAF = 32
-_SELECTORS = {(1 << k) + 1: _anti_diagonal((1 << k) + 1) for k in range(_LEAF.bit_length() - 1)}
 
 
 @dataclass(frozen=True)
@@ -170,40 +156,64 @@ def _checked_probs(profile: Profile) -> np.ndarray:
 
 
 def _leaf_size(n: int) -> int:
-    """Voters per product-tree leaf: _LEAF, or the next power of two >= n."""
-    return min(_LEAF, 1 << (n - 1).bit_length())
+    """Voters per product-tree leaf: one leaf of the next power of two >= n
+    up to _LEAF voters, _LEAF from 1.5 _LEAF on, and _LEAF / 2 between,
+    where two _LEAF-voter leaves would be over a quarter padding."""
+    if n <= _LEAF:
+        return 1 << (n - 1).bit_length()
+    return _LEAF if 2 * n >= 3 * _LEAF else _LEAF // 2
+
+
+def _level_buffer(count: int, width: int, last: bool) -> tuple[np.ndarray, np.ndarray]:
+    """A zeroed buffer for `count` PMFs of `width` entries, and their
+    (count, width) view: a PMF per row, followed by the width - 1 zeros
+    the next level's window reads, at the last level and below 8 PMFs
+    per entry, else a PMF per column, between width - 1 zero rows.  So
+    the einsum's inner loop, along the contiguous axis, is the longer."""
+    if last or count < 8 * width:
+        buf = np.zeros((count, 2 * width - 1))
+        return buf, buf[:, :width]
+    buf = np.zeros((3 * width - 2, count))
+    return buf, buf[width - 1 : 2 * width - 1].T
 
 
 def _leaf_pmfs(ps: np.ndarray) -> np.ndarray:
     """The leaf PMFs of the product tree as rows of a (leaves, leaf + 1) array.
 
-    The voters, padded with p = 0, fill leaves of _leaf_size(n) voters,
-    whose PMFs take log2 of that many doubling levels, each one
-    elementwise product and one matmul over all leaves.
+    The voters, padded with p = 0, start as PMFs [1 - p, p], and each of
+    log2(_leaf_size(n)) doubling levels convolves PMF k with PMF k + m,
+    for all k < m at once: one einsum of the first PMFs against a
+    Toeplitz window, a strided view of the second ones and their zero
+    padding.  Leaf r therefore holds voters r, r + leaves, r + 2 leaves,
+    and so on.  The buffers' layout (`_level_buffer`) keeps each einsum's
+    inner loop on the longer axis.  einsum's default optimize=False never
+    calls BLAS, so the leaves do not depend on its thread count.
     """
     n = max(len(ps), 1)
     leaf = _leaf_size(n)
     n_leaves = -(-n // leaf)
-    # column v is voter v's PMF [1 - p, p]; padding columns [1, 0] are neutral
-    cols = np.zeros((2, n_leaves * leaf))
-    cols[1, : len(ps)] = ps
-    cols[0] = 1.0 - cols[1]
-    # each level convolves the columns pairwise: one product array holds
-    # every pair's outer product, and one 0/1 matmul sums its anti-diagonals.
-    # Every level's products fit in the last level's buffer and its result
-    # fits where its input was: two allocations per call, not two per level,
-    # which spares the page faults of fresh arrays at large n.
-    flat, work = cols.reshape(-1), np.empty((leaf // 2 + 1) ** 2 * n_leaves)
-    while cols.shape[1] > n_leaves:
-        width, m = len(cols), cols.shape[1] // 2
-        outer = work[: width * width * m].reshape(width, width, m)
-        np.multiply(cols[:, None, 0::2], cols[None, :, 1::2], out=outer)
-        cols = np.matmul(
-            _SELECTORS[width],
-            outer.reshape(width * width, m),
-            out=flat[: (2 * width - 1) * m].reshape(2 * width - 1, m),
-        )
-    return np.ascontiguousarray(cols.T)
+    count, width = n_leaves * leaf, 2
+    buf, pmfs = _level_buffer(count, width, count == n_leaves)
+    pmfs[: len(ps), 1] = ps
+    pmfs[:, 0] = 1.0 - pmfs[:, 1]
+    item = buf.itemsize
+    while count > n_leaves:
+        m, grown = count // 2, 2 * width - 1
+        if pmfs.strides[1] == item:
+            # a PMF per row: c[i] = sum_j a[w - 1 - j] b[i - w + 1 + j],
+            # with a reversed so that both run forward in j
+            row = buf.shape[1]
+            first = np.ascontiguousarray(pmfs[:m, ::-1])
+            offset, strides = (m * row - width + 1) * item, (row * item, item, item)
+        else:
+            # a PMF per column: c[i] = sum_j a[j] b[i - j]
+            first = pmfs[:m]
+            offset, strides = ((width - 1) * count + m) * item, (item, count * item, -count * item)
+        window = np.ndarray((m, grown, width), buffer=buf, offset=offset, strides=strides)
+        buf, pmfs = _level_buffer(m, grown, m == n_leaves)
+        np.einsum("kij,kj->ki", window, first, out=pmfs)
+        count, width = m, grown
+    return pmfs
 
 
 def poisson_binomial_pmf(ps: np.ndarray) -> tuple[int, np.ndarray, float]:
@@ -250,12 +260,13 @@ def poisson_binomial_pmf(ps: np.ndarray) -> tuple[int, np.ndarray, float]:
 def _rounding_depth(n: int) -> int:
     """K, the rounding depth of every band entry of an n-voter tally.
 
-    A level whose longest anti-diagonal has m products makes each entry
-    a sum of at most m non-negative products, so it scales the entry's
-    error by at most 1 + gamma_m, and (1 + gamma_a)(1 + gamma_b) <=
-    1 + gamma_(a+b).  K adds one per voter for the rounding of 1 - p,
-    the leaf levels' widths 2, 3, 5, ..., leaf / 2 + 1, and at tree level
-    j, leaf * 2^j + 1, the untrimmed length of the shorter band.
+    A level whose inputs have at most m entries makes each entry a sum
+    of at most m non-negative products, and of exact zeros from a
+    Toeplitz window's padding, so it scales the entry's error by at most
+    1 + gamma_m, and (1 + gamma_a)(1 + gamma_b) <= 1 + gamma_(a+b).
+    K adds one per voter for the rounding of 1 - p, the leaf levels'
+    widths 2, 3, 5, ..., leaf / 2 + 1, and at tree level j, leaf * 2^j + 1,
+    the untrimmed length of the shorter band.
     """
     leaf = _leaf_size(n)
     depth = n + leaf - 1 + leaf.bit_length() - 1
@@ -314,8 +325,8 @@ def _chernoff_certificate(ps: np.ndarray) -> TallyEstimate | None:
       its last entry at or above _TRIM, an entry of the lower tail,
       whose mass is nearly 1.  The upper tail is then empty and the
       tree returns fsum([]) = 0.0.  A lone leaf is never trimmed, and
-      its entries may round up from below 2^-1075, so n <= _LEAF is
-      left to the tree.
+      its entries may round up from below 2^-1075, so n <= _LEAF, the
+      sizes with one leaf, is left to the tree.
     """
     n = len(ps)
     s, t = (n + 1) // 2, (n - 1) // 2
@@ -351,9 +362,12 @@ def majority_prob_exact(profile: Profile) -> TallyEstimate:
     gamma_K (see _rounding_depth) of the exact mass of its untrimmed
     outcomes, which bounds the smaller tail's error; to that it adds the
     rounding of fsum and of 1 - x, the slack between the computed and
-    exact trimmed mass, and 2^-1074 for each of the fewer than
-    (n + _LEAF)^2 products and entries that may underflow (convolving
-    with PMFs never grows an L1 error).
+    exact trimmed mass, and 2^-1074 for each product and entry that may
+    underflow (convolving with PMFs never grows an L1 error).  Two PMFs
+    of at most w entries take at most w^2 products that are not exact
+    zeros of a window's padding, and make 2w - 1 entries, at a leaf or a
+    tree level alike: with V = leaves * leaf < n + _LEAF padded voters,
+    below V^2/2 + 2V log2 V + 2V in all, which is below (n + _LEAF)^2.
     """
     n = profile.n
     ps = _checked_probs(profile)

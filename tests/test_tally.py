@@ -173,8 +173,8 @@ def reference_mc_value(ps, w, replicas, seed) -> float:
 
 
 class TestProductTree:
-    # sizes on both sides of the 32-voter leaf boundaries
-    SIZES = (1, 31, 33, 63, 65, 1001, 4001)
+    # sizes on both sides of the 32-voter and 128-voter leaf boundaries
+    SIZES = (1, 31, 33, 63, 65, 127, 129, 257, 1001, 4001)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_matches_reference_dp(self, n):
@@ -188,8 +188,10 @@ class TestProductTree:
             win = majority_prob_exact(explicit(profile)).value
             assert win == pytest.approx(math.fsum(ref[(n + 1) // 2 :]), abs=1e-12)
 
-    # one leaf, padded or full, and two or three leaves, one of them padded
-    @pytest.mark.parametrize("n", (1, 2, 3, 17, 31, 32, 33, 63, 65))
+    # one leaf, padded or full, and two or three leaves, one of them padded.
+    # Past n = 129 the Fraction oracle takes tens of seconds, so the
+    # voter-by-voter DP stands in, within its own gamma_3n on top
+    @pytest.mark.parametrize("n", (1, 2, 3, 17, 31, 32, 33, 63, 65, 127, 129, 257))
     def test_entries_keep_relative_accuracy(self, n):
         rng = np.random.default_rng(900 + n)
         extremes = np.array([0.0, 1.0, 1e-200, 1.0 - 2.0**-53])
@@ -203,10 +205,32 @@ class TestProductTree:
             assert offset >= 0 and np.all(band >= 0.0)
             # a padded leaf runs past n: those entries are exactly zero
             assert not np.any(band[max(n + 1 - offset, 0) :])
-            for k, want in enumerate(exact_pmf(ps)):
+            if n <= 129:
+                wants, slack = exact_pmf(ps), Fraction(1e-13)
+            else:
+                wants = [Fraction(x) for x in reference_pmf(ps)]
+                slack = Fraction(tally._relative_gamma(tally._rounding_depth(n) + 3 * n))
+            for k, want in enumerate(wants):
                 got = band[k - offset] if 0 <= k - offset < len(band) else 0.0
                 if want >= 1e-280:
-                    assert abs(Fraction(float(got)) - want) <= Fraction(1e-13) * want, (k, ps)
+                    assert abs(Fraction(float(got)) - want) <= slack * want, (k, ps)
+
+    @pytest.mark.parametrize("measure", ("lebesgue", "affine-1"))
+    def test_leaves_match_the_voter_dp(self, measure):
+        # leaf r holds voters r, r + leaves, ...; each entry is a sum of
+        # non-negative terms on both sides, within gamma of the leaf's own
+        # depth and of the DP's 3 roundings per voter
+        n = 20_001
+        ps = generate(IidSource(TestScaledTree.MEASURES[measure]), n, seed=41).competences
+        pmfs = tally._leaf_pmfs(ps)
+        leaf = tally._leaf_size(n)
+        assert pmfs.shape == (-(-n // leaf), leaf + 1)
+        padded = np.zeros(pmfs.shape[0] * leaf)
+        padded[:n] = ps
+        slack = tally._relative_gamma(tally._rounding_depth(leaf) + 3 * leaf)
+        for r, row in enumerate(pmfs):
+            ref = reference_pmf(padded[r :: len(pmfs)])
+            assert np.all(np.abs(row - ref) <= slack * ref), r
 
     def test_band_independent_of_blas_threads(self):
         code = (
@@ -230,6 +254,30 @@ class TestProductTree:
         offset, band, trimmed = poisson_binomial_pmf(np.random.default_rng(7).random(4001))
         assert outs[0] == [str(offset), str(len(band)), trimmed.hex(),
                            hashlib.sha256(band.tobytes()).hexdigest()]
+
+    def test_band_independent_of_call_and_input_buffer(self):
+        # a second call, and competences that start 8 bytes into another
+        # array, give the same band bit for bit
+        n = 4001
+        big = np.random.default_rng(7).random(n + 1)
+        offset, band, trimmed = poisson_binomial_pmf(big[1:].copy())
+        for ps in (big[1:].copy(), big[1 : n + 1]):
+            again = poisson_binomial_pmf(ps)
+            assert (again[0], again[2].hex()) == (offset, trimmed.hex())
+            assert again[1].tobytes() == band.tobytes()
+
+    def test_peak_memory_at_the_cap(self):
+        # the leaf stage's first two level buffers, 60 bytes per padded
+        # voter, set the peak at 11.5 MiB
+        prof = explicit(np.random.default_rng(6).random(MAX_EXACT_N))
+        tracemalloc.start()
+        try:
+            est = majority_prob_exact(prof)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.method == "exact_dp"
+        assert peak < 12 * 2**20
 
     def test_sure_majority_is_exactly_one(self):
         # the band's total mass rounds to 1 - 5.5e-14 here, so summing the
@@ -272,7 +320,7 @@ class TestScaledTree:
         assert (offset, len(band), trimmed) == (ref_offset, len(ref_band), ref_trimmed)
         assert np.all(np.abs(band - ref_band) <= np.spacing(ref_band))
 
-    @pytest.mark.parametrize("n", (65, 4001))
+    @pytest.mark.parametrize("n", (2 * tally._LEAF + 1, 4001))
     @pytest.mark.parametrize("halves", (0, 1, 20))
     def test_certain_voters_never_overflow(self, n, halves):
         # the scaled leaf holds 2^1000 where the band is 1: no product or
@@ -413,7 +461,8 @@ class TestChernoffCertificate:
             assert est.method == method
             assert est.value == tree_estimate(majority_prob_exact, prof).value == 1.0
 
-    @pytest.mark.parametrize("n", (33, 101, 1001))
+    # above one leaf (n <= _LEAF is left to the tree): 64- and 128-voter leaves
+    @pytest.mark.parametrize("n", (tally._LEAF + 1, 2 * tally._LEAF + 1, 1001))
     def test_either_side_of_the_null_margin(self, n):
         inside, outside = certificate_edge(n, 1e-300, 0.5)
         widen = 1.0 + 2.0 * tally._relative_gamma(n + 4)
@@ -431,10 +480,10 @@ class TestChernoffCertificate:
         assert majority_prob_exact(prof).method == "exact_dp"
         assert majority_prob_exact(explicit(np.full(tally._LEAF + 1, 1e-200))).method == "bound"
 
-    def test_covers_the_fraction_oracle_at_n_101(self):
-        # a loss tail near 1e-24 and a win tail near 2^-1600, both nonzero
+    def test_covers_the_fraction_oracle_at_n_129(self):
+        # a loss tail near 6e-31 and a win tail near 2^-2035, both nonzero
         for p, value in ((0.9, 1.0), (1e-10, 0.0)):
-            ps = np.full(101, p)
+            ps = np.full(129, p)
             est = majority_prob_exact(explicit(ps))
             assert (est.method, est.value) == ("bound", value)
             err = abs(Fraction(est.value) - exact_majority(ps))
