@@ -221,9 +221,10 @@ def poisson_binomial_pmf(ps: np.ndarray) -> tuple[int, np.ndarray, float]:
 
     band[i] is P(sum = offset + i) and every entry outside the band is
     taken as 0; trimmed_mass, the mass cut over all combines, bounds the
-    L1 distance to the untrimmed PMF.  The leaf PMFs (`_leaf_pmfs`) are
-    never trimmed.  They are convolved pairwise, level by level, and
-    each product is cut to the entries at or above _TRIM.
+    L1 distance to the untrimmed PMF.  The leaf PMFs (`_leaf_pmfs`, up
+    to _LEAF voters each, from batched Toeplitz doubling) are never
+    trimmed.  They are convolved pairwise, level by level, and each
+    product is cut to the entries at or above _TRIM.
 
     Each combine convolves a * 2^1000 with b and scales the band back by
     2^-1000 in place.  A kept entry is at least _TRIM > 2^-997, so every
