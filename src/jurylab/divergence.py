@@ -116,11 +116,19 @@ def divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
     `_affinity_piece` and the KL term from `_kl_piece`.  Atom terms are
     exact.  No quadrature is used.
     """
+    return _divergences(p, q)[0]
+
+
+def _divergences(p: MeasureSpec, q: MeasureSpec) -> tuple[DivergenceReport, bool]:
+    """`divergences(p, q)` and `absolutely_continuous(p, q)` from one walk
+    of the merged pieces, whose ends give the same zero tests."""
     if p.pieces == q.pieces and p.atoms == q.atoms:
-        return DivergenceReport(
+        report = DivergenceReport(
             tv=0.0, kl=0.0, hellinger_affinity=1.0, hellinger_distance=0.0, bhattacharyya=0.0
         )
+        return report, True
     tv = kl = aff = 0.0
+    dominated = True
     for a0, b0, pc, qc in _merged_pieces(p, q):
         (pc0, pc1), (qc0, qc1) = pc, qc
         if pc == qc:
@@ -130,6 +138,8 @@ def divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
         if pc == _NO_DENSITY or qc == _NO_DENSITY:
             # one density is 0: no affinity, and KL is +inf wherever p has
             # mass; TV is split at the other density's root
+            if qc == _NO_DENSITY and not _is_zero(pc0, pc1, a0, b0):
+                dominated = False
             r = _affine_root_inside(dc0, dc1, a0, b0)
             for a, b in ((a0, b0),) if r is None else ((a0, r), (r, b0)):
                 tv += abs(dc0 * (b - a) + 0.5 * dc1 * (b * b - a * a))
@@ -155,7 +165,12 @@ def divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
                     aff += _affinity_piece(b - a, u0, u1, v0, v1)
                 if not (p_zero or math.isinf(kl)):
                     kl = math.inf if q_zero else kl + _kl_piece(b - a, u0, u1, v0, v1)
+            else:
+                p_zero_a0, q_zero_a0 = p_zero1, q_zero1
             a, u0, v0, p_zero0, q_zero0 = b, u1, v1, p_zero1, q_zero1
+        # the zero tests of absolutely_continuous, at the piece's ends a0 and b0
+        if q_zero_a0 and q_zero1 and not (p_zero_a0 and p_zero1):
+            dominated = False
     p_atoms = dict(p.atoms)
     q_atoms = dict(q.atoms)
     for x in sorted(set(p_atoms) | set(q_atoms)):
@@ -165,17 +180,19 @@ def divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
         aff += math.sqrt(mp * mq)
         if mp > 0.0:
             kl = math.inf if mq == 0.0 else kl + mp * math.log(mp / mq)
+            dominated = dominated and mq > 0.0
     aff = min(aff, 1.0)
     hd = math.sqrt(max(0.0, 2.0 * (1.0 - aff)))
     # 0.0 - log(aff), not -log(aff): an affinity of exactly 1 gives +0.0
     bhat = 0.0 - math.log(aff) if aff > 0.0 else math.inf
-    return DivergenceReport(
+    report = DivergenceReport(
         tv=tv,
         kl=max(kl, 0.0) if not math.isinf(kl) else math.inf,
         hellinger_affinity=aff,
         hellinger_distance=hd,
         bhattacharyya=bhat,
     )
+    return report, dominated
 
 
 # Taylor coefficients.  Each series has a fixed length that reaches
@@ -358,10 +375,10 @@ def kakutani_criterion(
     running = 1.0
     dominated = True
     for spec in itertools.islice(perturbations, horizon):
-        if not absolutely_continuous(spec, base):
-            dominated = False
+        # the absolute-continuity verdict comes from the report's own walk
+        rep, dominated = _divergences(spec, base)
+        if not dominated:
             break
-        rep = divergences(spec, base)
         terms.append(rep.value(divergence_choice))
         running *= rep.hellinger_affinity
         prods.append(running)

@@ -20,10 +20,25 @@ entry keeps the DP's relative accuracy.  After each combine whose
 band has an end below 1e-300, entries below 1e-300 are cut from both
 ends and their mass is added to a running `trimmed_mass`; convolving
 with probability vectors cannot grow an L1 error, so that sum bounds
-the error from trimming.  The smaller tail is summed with `math.fsum`
-and the win probability is it or its complement, so it lies in [0, 1]
-with no clamp.  `rounding_bound` bounds the rest of its error a priori,
-from the number of roundings behind any band entry.
+the error from trimming.
+
+The tally needs only one tail, so from _TILT_LEAVES = 6 leaves
+(n > 640) on it also trims towards that tail by exponential tilting
+(Chernoff 1952; Keich 2005).  A few Newton steps find the tilt theta
+under which the sum's mean is within 1/4 of s - 1/2, s = (n + 1)/2,
+and each combine first cuts its band to a window about the node's
+tilted mean, past which a Bernstein or Hoeffding bound leaves at most
+tau = 2^-110 of the node's tilted mass M_A(theta) = sum_k b_k e^(theta k)
+on each side.  By the Chernoff bound
+over the other voters, each side cut takes at most
+tau e^(-theta s) M(theta) from theta's tail, M(theta) =
+prod (q_i + p_i e^theta), and that term joins `trimmed_mass`.  So the
+tally sums theta's tail with `math.fsum`: the win tail for theta >= 0,
+else the loss tail, whose complement it returns; with no tilt it sums
+the smaller tail.  The win probability lies in [0, 1] with no clamp,
+and |value - exact| <= rounding_bound + trimmed_mass, where
+`rounding_bound` bounds the rest of its error a priori, from the
+number of roundings behind any band entry.
 
 Before the tree, a Chernoff-Hoeffding bound (Hoeffding 1963, Thm 1)
 from mu = sum p_i alone may already fix the double the tree would
@@ -130,6 +145,16 @@ _SURE_NATS = 39.0
 _NULL_NATS = 746.0
 # the least tail mean at which the exponent is evaluated, so s / m is finite
 _MEAN_FLOOR = 2.0**-1000
+# the tilted trim: each side a combine cuts holds at most _TAU of its node's
+# tilted mass, by a tail bound of _TAU_NATS = -ln _TAU; see _product_tree
+_TAU = 2.0**-110
+_TAU_NATS = 110.0 * math.log(2.0)
+# Newton steps for the tilt, and the largest |theta| at which e^theta is used
+_NEWTON_STEPS = 8
+_MAX_TILT = 700.0
+# the fewest leaves at which the tilt repays its fixed cost, about 20 us: with
+# fewer, too few of the bands it shortens are convolved again
+_TILT_LEAVES = 6
 
 
 @dataclass(frozen=True)
@@ -139,6 +164,9 @@ class TallyEstimate:
     half_width: float = 0.0
     n_replicas: int = 0
     tie_prob: float | None = None
+    # the exact tally's trimming error: the mass cut below the 1e-300
+    # floor plus, for each side a tilted window cut, a Chernoff bound on
+    # what it took from the summed tail
     trimmed_mass: float = 0.0
     rounding_bound: float = 0.0
     # the voter or step draws a Monte Carlo estimate made, 0 for the exact
@@ -224,7 +252,8 @@ def poisson_binomial_pmf(ps: np.ndarray) -> tuple[int, np.ndarray, float]:
     L1 distance to the untrimmed PMF.  The leaf PMFs (`_leaf_pmfs`, up
     to _LEAF voters each, from batched Toeplitz doubling) are never
     trimmed.  They are convolved pairwise, level by level, and each
-    product is cut to the entries at or above _TRIM.
+    product is cut to the entries at or above _TRIM; only the exact
+    tally cuts by the tilt as well (`_product_tree`).
 
     Each combine convolves a * 2^1000 with b and scales the band back by
     2^-1000 in place.  A kept entry is at least _TRIM > 2^-997, so every
@@ -238,24 +267,121 @@ def poisson_binomial_pmf(ps: np.ndarray) -> tuple[int, np.ndarray, float]:
     with subnormal products comes out more accurate.  The band is
     searched for its cut only when an end falls below _TRIM.
     """
+    offset, band, trimmed, _ = _product_tree(ps, None)
+    return offset, band, trimmed
+
+
+def _tilt(ps: np.ndarray) -> tuple[float, float, list[tuple[float, float, int]]] | None:
+    """(theta, ln M(theta), leaf moments) for a tilt theta whose tilted
+    mean sum p'_i, p'_i = p_i e^theta / (q_i + p_i e^theta), is within
+    1/4 of n/2; None when _NEWTON_STEPS steps do not get there within
+    |theta| < _MAX_TILT.  M(theta) = prod (q_i + p_i e^theta).  Leaf r
+    holds voters r, r + leaves, r + 2 leaves, ... (`_leaf_pmfs`), and its
+    moments are the sums of p'_i and of p'_i (1 - p'_i) over them, and
+    its voter count with padding.
+
+    Newton's method on the tilted mean, whose slope is the tilted
+    variance.  It starts from log((n - mu) / mu), the tilt of n voters of
+    competence mu / n, scaled by the ratio of their variance to
+    sum p_i q_i, the slope at theta = 0.  Each step is one pass over the
+    voters into the same buffers, since fresh arrays cost more in page
+    faults than in arithmetic.  A step that would leave the bracket the
+    earlier steps set bisects it instead.  A profile whose voters all
+    have p in {0, 1}, or whose certain voters reach n/2 on their own,
+    has no such theta.
+    """
+    n = len(ps)
+    mu = float(ps.sum())
+    q = 1.0 - ps
+    denom = np.empty(n)
+    var = float(np.multiply(ps, q, out=denom).sum())
+    if not (0.0 < mu < n and var > 0.0):
+        return None
+    leaf = _leaf_size(n)
+    # p' of the voters, padded with the p' = 0 of each leaf's padding
+    pad = np.zeros((leaf, -(-n // leaf)))
+    tilted = pad.reshape(-1)[:n]
+    lo, hi = -_MAX_TILT, _MAX_TILT
+    theta = math.log((n - mu) / mu) * (mu * (n - mu) / n) / var
+    for _ in range(_NEWTON_STEPS):
+        if not lo < theta < hi:
+            theta = 0.5 * (lo + hi)
+        np.multiply(ps, math.exp(theta), out=tilted)
+        np.add(q, tilted, out=denom)
+        tilted /= denom
+        mean = float(tilted.sum())
+        gap = 0.5 * n - mean
+        if abs(gap) <= 0.25:
+            log_m = float(np.log(denom, out=denom).sum())
+            means = pad.sum(axis=0).tolist()
+            tilted -= np.multiply(tilted, tilted, out=denom)
+            return theta, log_m, [(m, v, leaf) for m, v in zip(means, pad.sum(axis=0).tolist())]
+        if gap > 0.0:
+            lo = theta
+        else:
+            hi = theta
+        var = mean - float(np.multiply(tilted, tilted, out=denom).sum())
+        theta = theta + gap / var if var > 0.0 else 0.5 * (lo + hi)
+    return None
+
+
+def _product_tree(
+    ps: np.ndarray, moments: list[tuple[float, float, int]] | None
+) -> tuple[int, np.ndarray, float, int]:
+    """(offset, band, floor mass, tilt cuts) of the product tree.
+
+    Every combine cuts its band to the entries at or above _TRIM, from
+    both ends, and adds their mass to the floor mass.  Given the leaf
+    `moments` of a tilt theta (`_tilt`), it first cuts the band to its
+    node's window mu' +- h, widened by an entry each way, and the floor
+    then applies inside the window.  mu', v' and m are the sums of the
+    leaves' moments: the mean and variance of the node's sum under the
+    tilted law, and its voters.  h is the lesser of Bernstein's
+    L/3 + sqrt(L^2/9 + 2 L v') and Hoeffding's sqrt(L m / 2), with
+    L = _TAU_NATS, so the tilted law puts at most e^-L = _TAU past the
+    window on each side.  That law gives outcome k of the node the mass
+    b_k e^(theta k) / M_A(theta), so the exact entries one side cuts have
+    sum_k b_k e^(theta k) <= _TAU M_A(theta); each side that cuts an
+    entry adds one to the tilt cuts.  A window may keep nothing, and an
+    empty band makes every product it enters empty.
+    """
     nodes = [(0, leaf_pmf) for leaf_pmf in _leaf_pmfs(ps)]
-    trimmed = 0.0
+    width = _TAU_NATS / 3.0
+    trimmed, cuts = 0.0, 0
     while len(nodes) > 1:
-        paired = []
-        for (off_a, a), (off_b, b) in zip(nodes[0::2], nodes[1::2]):
+        paired, merged = [], []
+        for i in range(0, len(nodes) - 1, 2):
+            (off_a, a), (off_b, b) = nodes[i], nodes[i + 1]
+            off, lo, hi = off_a + off_b, 0, len(a) + len(b) - 1
+            if moments is not None:
+                (mean_a, var_a, m_a), (mean_b, var_b, m_b) = moments[i], moments[i + 1]
+                mean, var, voters = mean_a + mean_b, var_a + var_b, m_a + m_b
+                merged.append((mean, var, voters))
+                h = min(
+                    width + math.sqrt(width * width + 2.0 * _TAU_NATS * var + 2.0**-20),
+                    math.sqrt(0.5 * _TAU_NATS * voters),
+                )
+                lo = min(max(math.ceil(mean - h) - 1 - off, 0), hi)
+                hi = max(min(math.floor(mean + h) + 2 - off, hi), lo)
+                cuts += (lo > 0) + (hi < len(a) + len(b) - 1)
+            if lo == hi or not (len(a) and len(b)):
+                paired.append((off, a[:0]))
+                continue
             band = np.convolve(a * _SCALE, b)
             band *= _UNSCALE
-            lo, hi = 0, len(band)
-            if band[0] < _TRIM or band[-1] < _TRIM:
-                live = np.flatnonzero(band >= _TRIM)
-                lo, hi = int(live[0]), int(live[-1]) + 1
-                trimmed += float(band[:lo].sum() + band[hi:].sum())
-            paired.append((off_a + off_b + lo, band[lo:hi]))
+            if band[lo] < _TRIM or band[hi - 1] < _TRIM:
+                live = np.flatnonzero(band[lo:hi] >= _TRIM)
+                first, last = (lo + int(live[0]), lo + int(live[-1]) + 1) if len(live) else (hi, hi)
+                trimmed += float(band[lo:first].sum() + band[last:hi].sum())
+                lo, hi = first, last
+            paired.append((off + lo, band[lo:hi]))
         if len(nodes) % 2:
             paired.append(nodes[-1])
-        nodes = paired
+            if moments is not None:
+                merged.append(moments[-1])
+        nodes, moments = paired, merged if moments is not None else None
     offset, band = nodes[0]
-    return offset, band, trimmed
+    return offset, band, trimmed, cuts
 
 
 def _rounding_depth(n: int) -> int:
@@ -318,13 +444,16 @@ def _chernoff_certificate(ps: np.ndarray) -> TallyEstimate | None:
     majority_prob_exact), and gamma_K < 1e-10 at n <= MAX_EXACT_N.
     - 1.0: E >= 39 puts the loss tail L below e^-39 < 2^-55.  The
       tree's lower tail sums to at most
-      (1 + u)((1 + gamma_K) 2^-55 + 2^-1000) < 2^-54, far below its
-      upper tail, so it returns 1 - fsum(lower), which rounds to 1.0.
+      (1 + u)((1 + gamma_K) 2^-55 + 2^-1000) < 2^-54.  With mu > n/2
+      the tilt is negative, and with no tilt that sum is far below the
+      upper one, so either way the tree returns 1 - fsum(lower), which
+      rounds to 1.0.
     - 0.0: E >= 746 puts the win tail below e^-746 < 2^-1075, and each
       computed upper entry below 2^-1000 < _TRIM.  When n > _LEAF the
-      final band comes from a combine, whose trim cuts everything past
-      its last entry at or above _TRIM, an entry of the lower tail,
-      whose mass is nearly 1.  The upper tail is then empty and the
+      final band comes from a combine, and every entry a combine keeps
+      is at or above _TRIM, whatever the tilt also cuts, so no upper
+      entry is left.  With mu < n/2 the tilt is positive, and with no
+      tilt the empty upper tail is the smaller one, so either way the
       tree returns fsum([]) = 0.0.  A lone leaf is never trimmed, and
       its entries may round up from below 2^-1075, so n <= _LEAF, the
       sizes with one leaf, is left to the tree.
@@ -349,6 +478,29 @@ def _chernoff_certificate(ps: np.ndarray) -> TallyEstimate | None:
     return TallyEstimate(value=value, method="bound", rounding_bound=bound)
 
 
+def _tilt_term(theta: float, log_m: float, s: int, n: int) -> float:
+    """A bound on what one side's tilt cut takes from theta's tail:
+    tau M(theta) e^(-theta x), with x = s for the win tail (theta >= 0)
+    and s - 1 for the loss tail, so at most tau M(theta) e^(-theta s).
+
+    A side of node A's window cuts exact entries b_k with
+    sum_k b_k e^(theta k) <= tau M_A(theta) (`_product_tree`), and each
+    outcome k of A reaches the win tail with probability
+    P(S_R >= s - k) <= M_R(theta) e^(-theta (s - k)) over the other
+    voters R (Chernoff), or the loss tail with
+    P(S_R <= s - 1 - k) <= M_R(theta) e^(-theta (s - 1 - k)); and
+    M_A M_R = M.  ln M (`_tilt`) sums n logs of q_i + p_i e^theta, each
+    computed within 4u and so logged within 5u of max(1, its log); they
+    share theta's sign, so the exponent is raised by
+    2^-30 (|ln M| + |theta| x + n).  At n <= MAX_EXACT_N that covers
+    their rounding and that of theta x and of exp, and the two roundings
+    of adding the term, times the cuts, to trimmed_mass.
+    """
+    x = s if theta >= 0.0 else s - 1
+    slack = 2.0**-30 * (abs(log_m) + abs(theta) * x + n)
+    return _TAU * math.exp(log_m - theta * x + slack)
+
+
 def majority_prob_exact(profile: Profile) -> TallyEstimate:
     """Exact P(sum X_i > n/2) for independent X_i ~ Bernoulli(p_i).
 
@@ -358,28 +510,46 @@ def majority_prob_exact(profile: Profile) -> TallyEstimate:
     the tail it leaves out (`_chernoff_certificate`); the tree is not
     built.  Either way |value - exact| <= rounding_bound + trimmed_mass.
 
-    Otherwise trimmed_mass bounds the probability lost to the band
-    trim, and rounding_bound is a priori: every band entry is within
-    gamma_K (see _rounding_depth) of the exact mass of its untrimmed
-    outcomes, which bounds the smaller tail's error; to that it adds the
-    rounding of fsum and of 1 - x, the slack between the computed and
-    exact trimmed mass, and 2^-1074 for each product and entry that may
-    underflow (convolving with PMFs never grows an L1 error).  Two PMFs
-    of at most w entries take at most w^2 products that are not exact
-    zeros of a window's padding, and make 2w - 1 entries, at a leaf or a
-    tree level alike: with V = leaves * leaf < n + _LEAF padded voters,
-    below V^2/2 + 2V log2 V + 2V in all, which is below (n + _LEAF)^2.
+    Otherwise a tree of at least _TILT_LEAVES leaves is cut by the tilt
+    theta that centres the tilted sum at s - 1/2, s = (n + 1)/2
+    (`_tilt`, `_product_tree`), and the value is theta's tail: the win
+    tail summed for theta >= 0, else one minus the loss tail.
+    trimmed_mass is the mass the floor cut plus `_tilt_term` for each
+    side a window cut, which bounds what the tilt took from that tail;
+    the other tail is not summed, as the tilt may cut much of it.  With
+    no tilt (fewer leaves, or no theta) only the floor cuts, and the
+    smaller tail is summed.
+
+    rounding_bound is a priori: every band entry is within gamma_K (see
+    _rounding_depth) of the exact mass of its untrimmed outcomes, which
+    bounds the summed tail's error; to that it adds the rounding of fsum
+    and of 1 - x, the slack between the computed and exact trimmed mass,
+    and 2^-1074 for each product and entry that may underflow (convolving
+    with PMFs never grows an L1 error).  Two PMFs of at most w entries
+    take at most w^2 products that are not exact zeros of a window's
+    padding, and make 2w - 1 entries, at a leaf or a tree level alike:
+    with V = leaves * leaf < n + _LEAF padded voters, below
+    V^2/2 + 2V log2 V + 2V in all, which is below (n + _LEAF)^2.
     """
     n = profile.n
     ps = _checked_probs(profile)
     certified = _chernoff_certificate(ps)
     if certified is not None:
         return certified
-    offset, band, trimmed = poisson_binomial_pmf(ps)
-    split = max((n + 1) // 2 - offset, 0)
+    s = (n + 1) // 2
+    found = _tilt(ps) if n > (_TILT_LEAVES - 1) * _LEAF else None
+    theta, log_m, moments = found or (None, 0.0, None)
+    offset, band, trimmed, cuts = _product_tree(ps, moments)
+    if cuts:
+        trimmed += cuts * _tilt_term(theta, log_m, s, n)
+    split = max(s - offset, 0)
     lower, upper = band[:split], band[split:]
-    # fsum the smaller tail; the larger one is its complement
-    if upper.sum() <= lower.sum():
+    # fsum one tail, theta's or else the smaller; the other is its complement
+    if theta is None:
+        win_tail = upper.sum() <= lower.sum()
+    else:
+        win_tail = theta >= 0.0
+    if win_tail:
         tail = value = math.fsum(upper.tolist())
     else:
         # largest terms first: fsum's fast case, the same rounded sum

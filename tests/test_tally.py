@@ -294,7 +294,7 @@ class TestProductTree:
             prof = explicit(np.clip(rng.normal(centre, 0.05, n), 0.0, 1.0))
             for est in (majority_prob_exact(prof), anti_majority_prob_exact(prof)):
                 assert 0.0 <= est.value <= 1.0
-                assert 0.0 <= est.trimmed_mass < 1e-280
+                assert 0.0 <= est.trimmed_mass < 1e-280 + 2**-30 * est.rounding_bound
 
     def test_cap_size_mirror_identity(self):
         prof = explicit(np.random.default_rng(16).random(MAX_EXACT_N))
@@ -303,7 +303,7 @@ class TestProductTree:
         assert win.value + anti.value == pytest.approx(1.0, abs=1e-10)
         for est in (win, anti):
             assert est.method == "exact_dp"
-            assert 0.0 < est.trimmed_mass < 1e-280
+            assert 0.0 < est.trimmed_mass < 1e-280 + 2**-30 * est.rounding_bound
 
 
 class TestScaledTree:
@@ -507,6 +507,104 @@ class TestChernoffCertificate:
             assert est.method == "exact_dp"
             assert 0.0 < 1.0 - est.value
             assert est.value == 1.0 - math.fsum(lower.tolist())
+
+
+def reference_tail(ps, value: float) -> Fraction:
+    """The 1e-300 floor-only reference tree's tail on value's side: the
+    win tail for a value below 1/2, else one minus the loss tail."""
+    offset, band, _ = reference_tree_pmf(ps)
+    split = max((len(ps) + 1) // 2 - offset, 0)
+    if value < 0.5:
+        return Fraction(math.fsum(band[split:].tolist()))
+    return 1 - Fraction(math.fsum(band[:split].tolist()))
+
+
+class TestTiltedTrim:
+    """The exact tally cuts its bands towards the tail it sums.  Its value
+    stays within rounding_bound + trimmed_mass of the floor-only tree, and
+    the tilt adds under 2^-30 of rounding_bound to trimmed_mass."""
+
+    @staticmethod
+    def check(est, ps) -> None:
+        # far from 1/2, so the reference sums the tally's own tail
+        assert not 0.4 < est.value < 0.6
+        err = abs(Fraction(est.value) - reference_tail(ps, est.value))
+        assert err <= Fraction(est.rounding_bound) + Fraction(est.trimmed_mass)
+        assert est.trimmed_mass <= 1e-280 + 2.0**-30 * est.rounding_bound
+
+    @pytest.mark.parametrize("n", (129, 193, 1001, 4001, 20_001))
+    def test_far_tails_match_the_floor_tree(self, n):
+        # anti-CJT win tails, and CJT loss tails both mirrored (a win tail
+        # again) and from the tree's own loss side (a negative tilt); up
+        # to five leaves (n <= 640) only the floor cuts
+        tails = []
+        for slope in (1.0, 2.0):
+            cjt = generate(IidSource(affine(slope)), n, seed=5).competences
+            anti = generate(IidSource(affine(-slope)), n, seed=5).competences
+            for est, ps in (
+                (majority_prob_exact(explicit(anti)), anti),
+                (anti_majority_prob_exact(explicit(cjt)), 1.0 - cjt),
+                (tree_estimate(majority_prob_exact, explicit(cjt)), cjt),
+            ):
+                self.check(est, ps)
+                tail = min(est.value, 1.0 - est.value)
+                tails.append(tail)
+                if n > 5 * tally._LEAF and est.method == "exact_dp":
+                    # each side cut adds tau times a Chernoff bound on the tail
+                    assert 2.0**-110 * tail <= est.trimmed_mass
+        assert min(t for t in tails if t > 0.0) < (1e-150 if n == 20_001 else 1e-3)
+
+    def test_tilt_from_six_leaves(self):
+        for n, calls in ((5 * tally._LEAF - 1, 0), (5 * tally._LEAF + 1, 1)):
+            with mock.patch.object(tally, "_tilt", wraps=tally._tilt) as spy:
+                majority_prob_exact(explicit(np.random.default_rng(n).random(n)))
+            assert spy.call_count == calls
+
+    def test_two_clusters_take_several_newton_steps(self):
+        # voters near 0.02 in 18 of the 32 leaves and near 0.9 in the
+        # others: the tilted mean is far from linear in theta, so the
+        # start misses and two or more Newton steps follow it, one exp
+        # each, and each leaf's window must be its own
+        n = 4001
+        rng = np.random.default_rng(2020)
+        assert -(-n // tally._leaf_size(n)) == 32
+        low = np.arange(n) % 32 < 18
+        ps = np.where(low, rng.uniform(0.01, 0.03, n), rng.uniform(0.88, 0.92, n))
+        with mock.patch.object(tally.math, "exp", wraps=math.exp) as steps:
+            theta, _, _ = tally._tilt(ps)
+        assert steps.call_count >= 3
+        tilted = ps * math.exp(theta) / (1.0 - ps + ps * math.exp(theta))
+        assert abs(math.fsum(tilted) - n / 2) <= 0.25
+        self.check(majority_prob_exact(explicit(ps)), ps)
+        self.check(anti_majority_prob_exact(explicit(ps)), 1.0 - ps)
+
+    @pytest.mark.parametrize("n", (tally._LEAF + 1, 1001))
+    def test_certain_voters_have_no_tilt(self, n):
+        # sum p (1 - p) = 0: no tilt moves the mean, and the floor alone
+        # cuts the exact zeros around the one outcome
+        rng = np.random.default_rng(n)
+        for ones in ((n - 1) // 2, (n + 1) // 2, n // 3, n):
+            ps = np.zeros(n)
+            ps[rng.choice(n, ones, replace=False)] = 1.0
+            assert tally._tilt(ps) is None
+            for tally_fn, win in (
+                (majority_prob_exact, 2 * ones > n),
+                (anti_majority_prob_exact, 2 * ones < n),
+            ):
+                est = tree_estimate(tally_fn, explicit(ps))
+                assert (est.value, est.trimmed_mass) == (float(win), 0.0)
+
+    @pytest.mark.parametrize("n", (tally._LEAF + 1, 1001))
+    def test_tiny_competences(self, n):
+        rng = np.random.default_rng(n + 1)
+        profiles = (
+            np.full(n, 1e-200),
+            np.where(rng.random(n) < 0.5, 1e-200, rng.uniform(0.3, 0.9, n)),
+            np.where(rng.random(n) < 0.05, 1e-200, rng.uniform(0.6, 0.95, n)),
+        )
+        for ps in profiles:
+            self.check(tree_estimate(majority_prob_exact, explicit(ps)), ps)
+            self.check(tree_estimate(anti_majority_prob_exact, explicit(ps)), 1.0 - ps)
 
 
 class TestMajorityExact:
