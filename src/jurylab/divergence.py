@@ -121,7 +121,7 @@ def divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
 
 def _divergences(p: MeasureSpec, q: MeasureSpec) -> tuple[DivergenceReport, bool]:
     """`divergences(p, q)` and `absolutely_continuous(p, q)` from one walk
-    of the merged pieces, whose ends give the same zero tests."""
+    of the merged pieces."""
     if p.pieces == q.pieces and p.atoms == q.atoms:
         report = DivergenceReport(
             tv=0.0, kl=0.0, hellinger_affinity=1.0, hellinger_distance=0.0, bhattacharyya=0.0
@@ -168,7 +168,8 @@ def _divergences(p: MeasureSpec, q: MeasureSpec) -> tuple[DivergenceReport, bool
             else:
                 p_zero_a0, q_zero_a0 = p_zero1, q_zero1
             a, u0, v0, p_zero0, q_zero0 = b, u1, v1, p_zero1, q_zero1
-        # the zero tests of absolutely_continuous, at the piece's ends a0 and b0
+        # absolute continuity: q's density is zero at both of the piece's
+        # ends a0 and b0 while p's is not (an affine root inside is harmless)
         if q_zero_a0 and q_zero1 and not (p_zero_a0 and p_zero1):
             dominated = False
     p_atoms = dict(p.atoms)
@@ -336,20 +337,10 @@ def absolutely_continuous(p: MeasureSpec, base: MeasureSpec) -> bool:
 
     For this density class: every atom of p needs a base atom at the
     same point, and p's density may only live where base's density is
-    not identically zero (isolated affine roots are harmless).
+    not identically zero (isolated affine roots are harmless).  The
+    verdict comes from the walk that makes `divergences(p, base)`.
     """
-    base_atoms = dict(base.atoms)
-    for x, m in p.atoms:
-        if m > 0.0 and base_atoms.get(x, 0.0) <= 0.0:
-            return False
-    for a, b, (pc0, pc1), (bc0, bc1) in _merged_pieces(p, base):
-        if _is_zero(pc0, pc1, a, b):
-            continue
-        # a non-trivial affine base density vanishes on at most one
-        # point of the piece, which is a base-null and p-null set
-        if _is_zero(bc0, bc1, a, b):
-            return False
-    return True
+    return _divergences(p, base)[1]
 
 
 def kakutani_criterion(

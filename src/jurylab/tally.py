@@ -148,7 +148,7 @@ _MEAN_FLOOR = 2.0**-1000
 # the tilted trim: each side a combine cuts holds at most _TAU of its node's
 # tilted mass, by a tail bound of _TAU_NATS = -ln _TAU; see _product_tree
 _TAU = 2.0**-110
-_TAU_NATS = 110.0 * math.log(2.0)
+_TAU_NATS = -math.log(_TAU)
 # Newton steps for the tilt, and the largest |theta| at which e^theta is used
 _NEWTON_STEPS = 8
 _MAX_TILT = 700.0
