@@ -62,8 +62,10 @@ where the draw is below ceil(p_i * 2^53).  That integer test is exactly
 the test u < p_i on the draw's uniform u = draw * 2^-53, so which voters
 are correct depends on neither the batching nor the order in which the
 voters are drawn.  A replica wins where its full-row score
-fl(2 fl(correct @ w) - fl(sum w)) is above 0, computed in blocks of
-whole rows of about _MC_BLOCK entries.
+fl(2 S - fl(sum w)) is above 0, S numpy's pairwise sum of the row
+np.where(correct, w, 0.0), held C-contiguous in voter order.  The order
+of that sum's additions is fixed by n alone, so the score, too, depends
+on the replica's draws and on nothing else.
 
 Most replicas are decided by their heaviest voters, so the kernel
 stops drawing a replica once its outcome is certain (curtailed
@@ -73,8 +75,10 @@ the undrawn sum of |w| falls to 2^-k of the total W.  After each stage,
 a replica whose partial score P and undrawn weight R satisfy
 |P| > R + margin is decided, and wins iff P > 0.  With u = 2^-53 the
 margin is 16 (n + 8) u W.  To first order, the full-row score is within
-(3n - 2) u W of the exact score (two sums of at most n terms, whose
-products by 0 or 1 are exact, and one subtraction), the computed P
+(3n - 2) u W of the exact score (two sums of at most n exact terms and
+one subtraction: summed in any order, pairwise included, n terms are
+within (n - 1) u times the sum of their magnitudes; Higham, Accuracy
+and Stability of Numerical Algorithms, 2002, sec. 4.2), the computed P
 within (4n - 1) u W of the exact partial score (the same for each piece
 of at most n drawn voters, plus one addition per piece), the computed R
 within (n - 1) u W, and R + margin rounds once, by at most u W.  These
@@ -82,11 +86,10 @@ add up to (8n - 3) u W, half the margin; the other half covers the
 second-order terms.  So |P| > R + margin puts the exact score and the
 full-row score on P's side of 0, and no rounding flips a decision.  A
 replica still undecided after the stages draws its other voters and is
-scored from its full row, in the place the row has in its block of
-whole rows: a BLAS product may round a row's dot product differently
-by that place.  Every win count therefore equals the whole-row
-kernel's, near-ties and exact ties (losses) included.  Each draw is made
-at most once, and `TallyEstimate.draws` counts them.
+given its full-row score.  Every win count therefore equals the count
+of positive full-row scores over all replicas, near-ties and exact ties
+(losses) included, whatever the batching.  Each draw is made at most
+once, and `TallyEstimate.draws` counts them.
 
 The win frequency gets a 95% interval: Wald for interior counts, and
 the exact Clopper-Pearson width when every replica or none wins, so no
@@ -121,12 +124,9 @@ MAX_BRUTE_N = 31
 # weighted_majority_prob's modes; "auto" enumerates up to MAX_BRUTE_N, else Monte Carlo
 MODES = ("auto", "brute", "mc")
 _REPLICA_TAG = 0x4D43
-# entries per Monte Carlo block of whole rows, whose layout a near-tie's
-# rounding depends on
-_MC_BLOCK = 1 << 16
-# draws per chunk of a Monte Carlo stage: its draws, scratch and float cast
-# fit where one block's did, beside the voter order and the packed flags
-_MC_CHUNK = _MC_BLOCK // 2
+# draws per chunk of a Monte Carlo stage, and voters per chunk of rows the
+# closing pass scores: one chunk's draws, flags and float row stay in cache
+_MC_CHUNK = 1 << 15
 # Monte Carlo stages: stage k ends where the undrawn sum |w| falls to 2^-k of it
 _STAGES = 4
 # packed correct-or-not flags held per group of Monte Carlo replicas
@@ -676,41 +676,31 @@ def _draw_piece(
 
 
 def _full_row_wins(
-    packed: list[np.ndarray],
-    widths: list[int],
-    rows: np.ndarray,
-    order: np.ndarray,
-    w: np.ndarray,
-    replicas: int,
+    packed: list[np.ndarray], widths: list[int], order: np.ndarray, w: np.ndarray
 ) -> int:
-    """Wins among the replicas `rows` (ascending), whose packed flags cover
-    every voter: stage k's array holds the flags of the next widths[k]
-    voters of `order`.  Each row is put back in voter order and scored
-    as fl(2 fl(correct @ w) - fl(sum w)) in the place it has in a kernel
-    that draws blocks of whole rows, with the decided rows left 0: the
-    BLAS product may round a row's dot product differently by its place
-    in the block, so only that place reproduces a near-tie's sign."""
+    """Wins among the undecided replicas, whose packed flags cover every
+    voter: stage k's array holds the flags of the next widths[k] voters
+    of `order`.  Each row is put back in voter order, C-contiguous, and
+    scored as fl(2 S - fl(sum w)), S numpy's pairwise sum of
+    np.where(correct, w, 0.0) along the row, whose order is fixed by the
+    row's length: so the score depends on the replica's draws alone.
+    The rows go in chunks of at most _MC_CHUNK entries, or one row."""
     n = len(order)
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.arange(n)
     w_sum = float(np.sum(w))
-    per_block = max(1, _MC_BLOCK // n)
-    starts = np.flatnonzero(np.diff(rows // per_block, prepend=-1))
+    step = max(1, _MC_CHUNK // n)
     wins = 0
-    for lo, hi in zip(starts, [*starts[1:], len(rows)]):
-        first = rows[lo] // per_block * per_block
-        at = rows[lo:hi] - first
-        correct = np.zeros((min(per_block, replicas - first), n), dtype=bool)
-        correct[at] = np.take(
-            np.concatenate(
-                [np.unpackbits(p[lo:hi], axis=1, count=c) for p, c in zip(packed, widths)],
-                axis=1,
-            ).view(bool),
-            inverse,
+    for lo in range(0, len(packed[0]), step):
+        correct = np.concatenate(
+            [np.unpackbits(p[lo : lo + step], axis=1, count=c) for p, c in zip(packed, widths)],
             axis=1,
-        )
-        score = 2.0 * (correct @ w) - w_sum
-        wins += int(np.count_nonzero(score[at] > 0.0))
+        ).view(bool)
+        # numpy sums each row pairwise only where the rows are C-contiguous,
+        # as take's output along axis 1 is
+        correct = correct.take(inverse, axis=1)
+        score = 2.0 * np.where(correct, w, 0.0).sum(axis=1) - w_sum
+        wins += int(np.count_nonzero(score > 0.0))
     return wins
 
 
@@ -719,16 +709,18 @@ def _monte_carlo_weighted(
 ) -> TallyEstimate:
     """Win frequency over `replicas` seeded replicas, drawn in stages.
 
-    The replicas go in groups of whole blocks whose correct-or-not
-    flags, packed eight to a byte, fit in about _SEEN_BITS.  For each
-    group, each stage's voters (heaviest first) are drawn for the
-    group's undecided replicas, in pieces of at most _MC_CHUNK / 8 voters
-    (`_draw_piece`), and after each stage the decided replicas leave.
-    Those still undecided draw their other voters in a closing pass and
+    The replicas go in groups whose correct-or-not flags, packed eight
+    to a byte, fit in about _SEEN_BITS.  For each group, each stage's
+    voters (heaviest first) are drawn for the group's undecided
+    replicas, in pieces of at most _MC_CHUNK / 8 voters (`_draw_piece`),
+    and after each stage the decided replicas leave.  Those still
+    undecided draw their other voters in a closing pass, and only they
     are scored on their full rows (`_full_row_wins`).  Each draw is made
     at most once, so `draws` is at most n * replicas.  At n = 65537 the
-    call holds 12 bytes per voter of order and its inverse and 10 for
-    one scored row, against 25 for the whole-row kernel's block: hence
+    closing pass holds 12 bytes per voter of order and its inverse, 2 of
+    packed flags and 9 for one scored row (its flags, reordered, then
+    its float terms), within the 25 a block of whole rows took (8 of
+    thresholds, 8 of draws and 9 of their bools and float cast): hence
     int32 for the order, and flags of at most 2 bytes per voter.
     """
     n = len(ps)
@@ -743,8 +735,7 @@ def _monte_carlo_weighted(
     del heavy
     # past this margin no rounding flips a decision: see the module docstring
     margin = 16 * (n + 8) * _U * total
-    per_block = max(1, _MC_BLOCK // n)
-    group = per_block * max(1, _SEEN_BITS // n // per_block)
+    group = max(1, _SEEN_BITS // n)
     # a multiple of 8, so each piece's flags start on a byte
     piece = 8 * max(1, _MC_CHUNK // 64)
     wins = draws = 0
@@ -770,11 +761,11 @@ def _monte_carlo_weighted(
                 decided = np.abs(score) > undrawn + margin
                 wins += int(np.count_nonzero(score[decided] > 0.0))
                 keep = ~decided
-                rows, keys, score = rows[keep], keys[keep], score[keep]
+                keys, score = keys[keep], score[keep]
                 packed = [p[keep] for p in packed]
         if len(keys):
             widths = np.diff([0] + [end for end, _ in stages]).tolist()
-            wins += _full_row_wins(packed, widths, rows, order, w, replicas)
+            wins += _full_row_wins(packed, widths, order, w)
     return monte_carlo_estimate(wins, replicas, draws)
 
 

@@ -115,14 +115,15 @@ def random_walk_return(
     Estimated by Monte Carlo with coupled step streams: for a fixed
     seed, a longer horizon replays the same steps and appends more, so
     estimates are nondecreasing in the horizon.  k = 0 is hit at the
-    start, probability one.
+    start: probability one, returned with method "bound", no replicas
+    and no draws, since no Monte Carlo interval backs it.
     """
     if replicas < 100:
         raise ValueError("at least 100 replicas required")
     if horizon < abs(k):
         raise ValueError("horizon shorter than |k|: the level is unreachable")
     if k == 0:
-        return TallyEstimate(1.0, "monte_carlo", 0.0, replicas)
+        return TallyEstimate(1.0, "bound")
     level = abs(k)  # symmetric walk: hitting +k and -k are equiprobable
     hits = np.zeros(replicas, dtype=bool)
     # replica streams are indexed by (replica, absolute step), so the

@@ -157,19 +157,25 @@ def random_weights(rng, kind: str, ps) -> np.ndarray:
     return w
 
 
-def reference_mc_value(ps, w, replicas, seed) -> float:
-    """Reference: the float Monte Carlo kernel, u < p on 2^22-entry chunks."""
+def reference_mc_scores(ps, w, replicas, seed) -> np.ndarray:
+    """Every replica's full-row score fl(2 S - fl(sum w)) from whole rows
+    of float draws, 2^22 entries at a time: S is numpy's pairwise sum of
+    the row np.where(u < p, w, 0.0), which follows the voter order only
+    on C-contiguous rows, as these are."""
     n = len(ps)
-    wins = 0
     w_sum = float(np.sum(w))
     chunk = max(1, (1 << 22) // n)
+    scores = []
     for start in range(0, replicas, chunk):
         rows = np.arange(start, min(start + chunk, replicas))
         u = streams.uniforms_block(seed, (tally._REPLICA_TAG,), rows, n)
-        correct = u < ps[None, :]
-        score = 2.0 * (correct @ w) - w_sum
-        wins += int(np.count_nonzero(score > 0.0))
-    return wins / replicas
+        scores.append(2.0 * np.where(u < ps[None, :], w, 0.0).sum(axis=1) - w_sum)
+    return np.concatenate(scores)
+
+
+def reference_mc_value(ps, w, replicas, seed) -> float:
+    """Reference: the share of replicas whose full-row score is above 0."""
+    return np.count_nonzero(reference_mc_scores(ps, w, replicas, seed) > 0.0) / replicas
 
 
 class TestProductTree:
@@ -811,7 +817,7 @@ class TestMeetInTheMiddle:
 
 
 class TestMonteCarloKernel:
-    # 65537 voters exceed one block, so each block holds a single replica
+    # 65537 voters exceed a chunk, so each chunk holds a single replica's row
     @pytest.mark.parametrize("n,replicas", [(27, 3000), (101, 2000), (65_537, 100)])
     def test_matches_float_reference_bitwise(self, n, replicas):
         rng = np.random.default_rng(n)
@@ -842,17 +848,10 @@ class TestMonteCarloKernel:
                 assert est.value == reference_mc_value(ps, w, replicas, seed)
 
 
-def reference_mc_scores(ps, w, replicas, seed) -> np.ndarray:
-    """Every replica's whole-row score, as `reference_mc_value` forms it."""
-    rows = np.arange(replicas)
-    u = streams.uniforms_block(seed, (tally._REPLICA_TAG,), rows, len(ps))
-    return 2.0 * ((u < ps[None, :]) @ w) - float(np.sum(w))
-
-
 def near_tie(rng, n, zeros):
     """Voter 0 (p = 1/2) weighs the float sum of the others, who always
     vote right, so half the replicas score a few ulps from 0, on a side
-    that only the rounding of the whole-row score fixes.  `zeros`
+    that only the rounding of the full-row score fixes.  `zeros`
     silent voters close the row."""
     v = rng.random(n - 1 - zeros)
     w = np.concatenate(([np.sum(v)], v, np.zeros(zeros)))
@@ -860,9 +859,19 @@ def near_tie(rng, n, zeros):
     return ps, w
 
 
+def near_ties():
+    """24 near-tie cases (ps, w, replicas, seed): n = 41, 71 and 101, each
+    with and without silent voters."""
+    rng = np.random.default_rng(7)
+    for case in range(24):
+        ps, w = near_tie(rng, (41, 71, 101)[case % 3], zeros=10 * (case % 2))
+        yield ps, w, 400, case
+
+
 class TestEarlyDecision:
     """The staged kernel stops drawing a replica once its outcome is
-    certain; its win counts must equal the whole-row reference's."""
+    certain; its win counts must equal the reference's count of positive
+    full-row scores."""
 
     @staticmethod
     def estimate(ps, w, replicas, seed):
@@ -913,13 +922,10 @@ class TestEarlyDecision:
         self.estimate(ps, w, replicas, 9)
 
     def test_scores_within_ulps_of_zero(self):
-        rng = np.random.default_rng(7)
-        for case in range(24):
-            n = (41, 71, 101)[case % 3]
-            ps, w = near_tie(rng, n, zeros=10 * (case % 2))
-            scores = reference_mc_scores(ps, w, 400, case)
-            assert np.any(np.abs(scores) < 64 * n * 2.0**-53 * np.sum(w))
-            self.estimate(ps, w, 400, case)
+        for ps, w, replicas, seed in near_ties():
+            scores = reference_mc_scores(ps, w, replicas, seed)
+            assert np.any(np.abs(scores) < 64 * len(ps) * 2.0**-53 * np.sum(w))
+            self.estimate(ps, w, replicas, seed)
 
     def test_certain_voters(self):
         n, replicas = 101, 1000
@@ -939,22 +945,25 @@ class TestEarlyDecision:
         assert est.draws < n * replicas
 
     def test_independent_of_block_sizes(self, monkeypatch):
-        n, replicas = 301, 1500
+        n = 301
         rng = np.random.default_rng(3)
-        ps = rng.uniform(0.4, 0.8, n)
-        w = rng.normal(1.0, 1.0, n)
-        default = self.estimate(ps, w, replicas, 10)
-        monkeypatch.setattr(tally, "_MC_BLOCK", 1000)
+        # the near-ties' outcomes rest on the rounding of their full-row
+        # scores, so they show it if that rounding depends on the batching
+        cases = [(rng.uniform(0.4, 0.8, n), rng.normal(1.0, 1.0, n), 1500, 10), *near_ties()]
+        default = [self.estimate(*case) for case in cases]
         monkeypatch.setattr(tally, "_MC_CHUNK", 200)
         monkeypatch.setattr(tally, "_SEEN_BITS", 3000)
-        small = self.estimate(ps, w, replicas, 10)
-        assert (small.value, small.half_width, small.n_replicas) == (
-            default.value, default.half_width, default.n_replicas
-        )
+        for case, est in zip(cases, default):
+            small = self.estimate(*case)
+            assert (small.value, small.half_width, small.n_replicas) == (
+                est.value, est.half_width, est.n_replicas
+            )
 
     def test_peak_memory_within_a_whole_row_block(self):
-        # the whole-row kernel held 8n bytes of thresholds, 8n of draws and
-        # 9n of their bools and float cast at n = 65537: 1,640,448 bytes
+        # at n = 65537 a block of whole rows took 25n bytes, 1,640,448: 8n
+        # of thresholds, 8n of draws and 9n of their bools and float cast;
+        # the closing pass holds 12n of order and inverse, 2n of packed
+        # flags and 9n for the one row it scores at a time
         n = 65_537
         rng = np.random.default_rng(n)
         prof = explicit(rng.random(n))

@@ -139,6 +139,8 @@ class TestRandomWalkReturn:
     def test_level_zero_immediate(self):
         est = random_walk_return(0, 10, 1000)
         assert (est.value, est.half_width) == (1.0, 0.0)
+        # certain, not estimated: no replica was drawn, so no interval is claimed
+        assert (est.method, est.n_replicas, est.rounding_bound) == ("bound", 0, 0.0)
 
     def test_pinned_values(self):
         # recorded from the float-uniform step draws (u < 1/2 steps down)
