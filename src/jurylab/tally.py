@@ -124,8 +124,8 @@ MAX_BRUTE_N = 31
 # weighted_majority_prob's modes; "auto" enumerates up to MAX_BRUTE_N, else Monte Carlo
 MODES = ("auto", "brute", "mc")
 _REPLICA_TAG = 0x4D43
-# draws per chunk of a Monte Carlo stage, and voters per chunk of rows the
-# closing pass scores: one chunk's draws, flags and float row stay in cache
+# draws per chunk of a Monte Carlo stage, and entries per chunk of the rows
+# the closing pass scores: a chunk's draws, flags and float terms stay in cache
 _MC_CHUNK = 1 << 15
 # Monte Carlo stages: stage k ends where the undrawn sum |w| falls to 2^-k of it
 _STAGES = 4
