@@ -16,8 +16,9 @@ however large the request; `uniforms` converts each block into its float
 output from one reused integer block.  `uniforms` also fills many
 streams at once, one row per seed, so the profiles of one size cost one
 pass, not one call each.  `fill_columns` fills any set of columns of
-any rows, so a kernel can draw a replica's voters in any order and
-draw each one at most once.
+any rows, so a kernel can draw a replica's voters in any order, and
+since a draw is a function of its index alone, redrawing a whole row
+later gives the same draws.
 """
 
 from __future__ import annotations

@@ -85,11 +85,13 @@ within (n - 1) u W, and R + margin rounds once, by at most u W.  These
 add up to (8n - 3) u W, half the margin; the other half covers the
 second-order terms.  So |P| > R + margin puts the exact score and the
 full-row score on P's side of 0, and no rounding flips a decision.  A
-replica still undecided after the stages draws its other voters and is
-given its full-row score.  Every win count therefore equals the count
-of positive full-row scores over all replicas, near-ties and exact ties
-(losses) included, whatever the batching.  Each draw is made at most
-once, and `TallyEstimate.draws` counts them.
+replica still undecided after the stages is redrawn whole, in voter
+order, from its own stream, and given its full-row score; the streams
+are counter-based, so no drawn flag need be kept for it.  Every win
+count therefore equals the count of positive full-row scores over all
+replicas, near-ties and exact ties (losses) included, whatever the
+batching.  `TallyEstimate.draws` counts every draw made, a redrawn
+replica's staged draws twice, so at most 2n per replica.
 
 The win frequency gets a 95% interval: Wald for interior counts, and
 the exact Clopper-Pearson width when every replica or none wins, so no
@@ -124,13 +126,12 @@ MAX_BRUTE_N = 31
 # weighted_majority_prob's modes; "auto" enumerates up to MAX_BRUTE_N, else Monte Carlo
 MODES = ("auto", "brute", "mc")
 _REPLICA_TAG = 0x4D43
-# draws per chunk of a Monte Carlo stage, and entries per chunk of the rows
-# the closing pass scores: a chunk's draws, flags and float terms stay in cache
+# draws per chunk of a Monte Carlo stage or of the rows the closing pass
+# redraws, so a chunk's draws and float terms stay in cache; also the
+# replicas per group, which bounds the kernel's memory in the replica count
 _MC_CHUNK = 1 << 15
 # Monte Carlo stages: stage k ends where the undrawn sum |w| falls to 2^-k of it
 _STAGES = 4
-# packed correct-or-not flags held per group of Monte Carlo replicas
-_SEEN_BITS = 1 << 20
 # product-tree leaf size and the band trim threshold of the exact tally
 _LEAF = 128
 _TRIM = 1e-300
@@ -636,7 +637,8 @@ def _stage_ends(heavy: np.ndarray) -> list[tuple[int, float]]:
 
     Stage k ends at the first voter where the undrawn sum falls to 2^-k
     of the total; `undrawn` is the computed sum of |w| from `end` on.  A
-    stage that would end at n is left out: the closing pass draws it.
+    stage that would end at n is left out: the closing pass redraws the
+    whole row instead.
     """
     cum = np.cumsum(heavy)
     ends = np.searchsorted(cum, cum[-1] * (1.0 - 2.0 ** -np.arange(1.0, _STAGES + 1))) + 1
@@ -645,17 +647,11 @@ def _stage_ends(heavy: np.ndarray) -> list[tuple[int, float]]:
 
 
 def _draw_piece(
-    ps: np.ndarray,
-    w: np.ndarray,
-    cols: np.ndarray,
-    keys: np.ndarray,
-    flags: np.ndarray,
-    score: np.ndarray | None,
+    ps: np.ndarray, w: np.ndarray, cols: np.ndarray, keys: np.ndarray, score: np.ndarray
 ) -> int:
-    """Draw voters `cols` for the replicas keyed `keys`, pack their
-    correct-or-not flags into the byte columns `flags`, and add
-    fl(2 fl(correct @ w_cols) - fl(sum w_cols)) to `score` unless it is
-    None.  Chunks hold at most _MC_CHUNK draws.  Returns the draws."""
+    """Draw voters `cols` for the replicas keyed `keys` and add
+    fl(2 fl(correct @ w_cols) - fl(sum w_cols)) to `score`.  Chunks hold
+    at most _MC_CHUNK draws.  Returns the draws."""
     # b < ceil(p * 2^53) iff b * 2^-53 < p: the scaling is exact and every
     # draw b is an integer below 2^53 (so p = 1 passes all, p = 0 none)
     thresholds = np.ceil(ps[cols] * 2.0**53).astype(np.uint64)
@@ -668,37 +664,28 @@ def _draw_piece(
     for r in range(0, len(keys), step):
         m = min(step, len(keys) - r)
         block = streams.fill_columns(bits[: m * width].reshape(m, width), keys[r : r + m], cols)
-        correct = block < thresholds
-        flags[r : r + m] = np.packbits(correct, axis=1)
-        if score is not None:
-            score[r : r + m] += 2.0 * (correct @ w_cols) - w_sum
+        score[r : r + m] += 2.0 * ((block < thresholds) @ w_cols) - w_sum
     return len(keys) * width
 
 
-def _full_row_wins(
-    packed: list[np.ndarray], widths: list[int], order: np.ndarray, w: np.ndarray
-) -> int:
-    """Wins among the undecided replicas, whose packed flags cover every
-    voter: stage k's array holds the flags of the next widths[k] voters
-    of `order`.  Each row is put back in voter order, C-contiguous, and
-    scored as fl(2 S - fl(sum w)), S numpy's pairwise sum of
-    np.where(correct, w, 0.0) along the row, whose order is fixed by the
-    row's length: so the score depends on the replica's draws alone.
-    The rows go in chunks of at most _MC_CHUNK entries, or one row."""
-    n = len(order)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.arange(n)
+def _full_row_wins(ps: np.ndarray, w: np.ndarray, seed: int, rows: np.ndarray) -> int:
+    """Wins among the replicas `rows`, each redrawn whole, in voter order,
+    from its own stream and scored as fl(2 S - fl(sum w)), S numpy's
+    pairwise sum of np.where(correct, w, 0.0) along the C-contiguous row,
+    whose order is fixed by the row's length: so the score depends on
+    the replica's draws alone.  The rows go in chunks of at most
+    _MC_CHUNK draws, or one row."""
+    n = len(ps)
     w_sum = float(np.sum(w))
     step = max(1, _MC_CHUNK // n)
+    bits = np.empty(min(step, len(rows)) * n, dtype=np.uint64)
     wins = 0
-    for lo in range(0, len(packed[0]), step):
-        correct = np.concatenate(
-            [np.unpackbits(p[lo : lo + step], axis=1, count=c) for p, c in zip(packed, widths)],
-            axis=1,
-        ).view(bool)
-        # numpy sums each row pairwise only where the rows are C-contiguous,
-        # as take's output along axis 1 is
-        correct = correct.take(inverse, axis=1)
+    for lo in range(0, len(rows), step):
+        chunk = rows[lo : lo + step]
+        block = bits[: len(chunk) * n].reshape(len(chunk), n)
+        streams.bits_block(seed, (_REPLICA_TAG,), chunk, n, out=block)
+        # u = b * 2^-53 is exact, so u < p is the stages' test b < ceil(p * 2^53)
+        correct = block * 2.0**-53 < ps
         score = 2.0 * np.where(correct, w, 0.0).sum(axis=1) - w_sum
         wins += int(np.count_nonzero(score > 0.0))
     return wins
@@ -709,19 +696,19 @@ def _monte_carlo_weighted(
 ) -> TallyEstimate:
     """Win frequency over `replicas` seeded replicas, drawn in stages.
 
-    The replicas go in groups whose correct-or-not flags, packed eight
-    to a byte, fit in about _SEEN_BITS.  For each group, each stage's
-    voters (heaviest first) are drawn for the group's undecided
-    replicas, in pieces of at most _MC_CHUNK / 8 voters (`_draw_piece`),
-    and after each stage the decided replicas leave.  Those still
-    undecided draw their other voters in a closing pass, and only they
-    are scored on their full rows (`_full_row_wins`).  Each draw is made
-    at most once, so `draws` is at most n * replicas.  At n = 65537 the
-    closing pass holds 12 bytes per voter of order and its inverse, 2 of
-    packed flags and 9 for one scored row (its flags, reordered, then
-    its float terms), within the 25 a block of whole rows took (8 of
-    thresholds, 8 of draws and 9 of their bools and float cast): hence
-    int32 for the order, and flags of at most 2 bytes per voter.
+    The replicas go in groups of _MC_CHUNK, so memory is bounded in
+    `replicas`.  For each group, each stage's voters (heaviest first)
+    are drawn for the group's undecided replicas, in pieces of
+    _MC_CHUNK / 8 voters (`_draw_piece`), and after each stage the
+    decided replicas leave.  A replica still undecided is redrawn whole
+    and scored on its full row (`_full_row_wins`), so its staged draws
+    are made twice and `draws`, which counts every draw made, is at most
+    2n per replica.  At n = 65537 the closing pass holds 4 bytes per
+    voter of order and 8 of one row's draws, and beside them 8 of column
+    steps while the row is filled, then 8 of its uniforms and 1 of its
+    correct-or-not flags, then the flags and 8 of its float terms: at
+    most 21, within the 25 a block of whole rows took (8 of thresholds,
+    8 of draws and 9 of their bools and float cast).
     """
     n = len(ps)
     # int32 halves the order, the one n-length array held throughout
@@ -731,41 +718,28 @@ def _monte_carlo_weighted(
     total = float(np.sum(heavy))
     # if 4W overflows, so could a score: then no replica is decided early
     stages = _stage_ends(heavy) if math.isfinite(4.0 * total) else []
-    stages.append((n, None))
     del heavy
     # past this margin no rounding flips a decision: see the module docstring
     margin = 16 * (n + 8) * _U * total
-    group = max(1, _SEEN_BITS // n)
-    # a multiple of 8, so each piece's flags start on a byte
-    piece = 8 * max(1, _MC_CHUNK // 64)
+    piece = _MC_CHUNK // 8
     wins = draws = 0
-    for start in range(0, replicas, group):
-        rows = np.arange(start, min(start + group, replicas))
+    for start in range(0, replicas, _MC_CHUNK):
+        rows = np.arange(start, min(start + _MC_CHUNK, replicas))
         keys = streams.row_keys(seed, (_REPLICA_TAG,), rows)
-        score = np.zeros(len(keys))
-        # per stage, the packed flags of the group's undecided replicas
-        packed: list[np.ndarray] = []
+        score = np.zeros(len(rows))
         lo = 0
         for hi, undrawn in stages:
-            if not len(keys):
+            if not len(rows):
                 break
-            flags = np.empty((len(keys), -(-(hi - lo) // 8)), dtype=np.uint8)
             for a in range(lo, hi, piece):
-                b = min(a + piece, hi)
-                partial = score if undrawn is not None else None
-                byte_cols = flags[:, (a - lo) // 8 : -(-(b - lo) // 8)]
-                draws += _draw_piece(ps, w, order[a:b], keys, byte_cols, partial)
-            packed.append(flags)
+                draws += _draw_piece(ps, w, order[a : min(a + piece, hi)], keys, score)
             lo = hi
-            if undrawn is not None:
-                decided = np.abs(score) > undrawn + margin
-                wins += int(np.count_nonzero(score[decided] > 0.0))
-                keep = ~decided
-                keys, score = keys[keep], score[keep]
-                packed = [p[keep] for p in packed]
-        if len(keys):
-            widths = np.diff([0] + [end for end, _ in stages]).tolist()
-            wins += _full_row_wins(packed, widths, order, w)
+            decided = np.abs(score) > undrawn + margin
+            wins += int(np.count_nonzero(score[decided] > 0.0))
+            keep = ~decided
+            rows, keys, score = rows[keep], keys[keep], score[keep]
+        wins += _full_row_wins(ps, w, seed, rows)
+        draws += len(rows) * n
     return monte_carlo_estimate(wins, replicas, draws)
 
 

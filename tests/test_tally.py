@@ -877,7 +877,8 @@ class TestEarlyDecision:
     def estimate(ps, w, replicas, seed):
         est = weighted_majority_prob(explicit(ps), w, mode="mc", replicas=replicas, seed=seed)
         assert est.value == reference_mc_value(ps, w, replicas, seed)
-        assert 0 < est.draws <= len(ps) * replicas
+        # an undecided replica's staged draws are made again when it is redrawn whole
+        assert 0 < est.draws <= 2 * len(ps) * replicas
         return est
 
     def test_exact_methods_make_no_draws(self):
@@ -898,7 +899,7 @@ class TestEarlyDecision:
 
     @pytest.mark.parametrize("p", [0.5, 0.52])
     def test_equal_weights(self, p):
-        # few replicas are decided before stage 4, yet no draw is made twice
+        # few replicas are decided before stage 4, so most are redrawn whole
         self.estimate(np.full(301, p), np.ones(301), 1000, 5)
 
     def test_zero_and_negative_weights(self):
@@ -951,19 +952,27 @@ class TestEarlyDecision:
         # scores, so they show it if that rounding depends on the batching
         cases = [(rng.uniform(0.4, 0.8, n), rng.normal(1.0, 1.0, n), 1500, 10), *near_ties()]
         default = [self.estimate(*case) for case in cases]
+        # 200 also splits the replicas into groups of 200
         monkeypatch.setattr(tally, "_MC_CHUNK", 200)
-        monkeypatch.setattr(tally, "_SEEN_BITS", 3000)
         for case, est in zip(cases, default):
             small = self.estimate(*case)
             assert (small.value, small.half_width, small.n_replicas) == (
                 est.value, est.half_width, est.n_replicas
             )
 
+    def test_closing_pass_alone(self, monkeypatch):
+        # with no stages every replica is drawn whole in the closing pass, once
+        monkeypatch.setattr(tally, "_STAGES", 0)
+        for ps, w, replicas, seed in near_ties():
+            est = self.estimate(ps, w, replicas, seed)
+            assert est.draws == len(ps) * replicas
+
     def test_peak_memory_within_a_whole_row_block(self):
         # at n = 65537 a block of whole rows took 25n bytes, 1,640,448: 8n
         # of thresholds, 8n of draws and 9n of their bools and float cast;
-        # the closing pass holds 12n of order and inverse, 2n of packed
-        # flags and 9n for the one row it scores at a time
+        # the closing pass holds 4n of order and 8n of one row's draws, and
+        # beside them 8n of column steps while it fills the row, then 8n of
+        # uniforms and 1n of flags, then the flags and 8n of float terms
         n = 65_537
         rng = np.random.default_rng(n)
         prof = explicit(rng.random(n))
@@ -976,6 +985,21 @@ class TestEarlyDecision:
             finally:
                 tracemalloc.stop()
             assert peak <= 25 * n + 4096
+
+    def test_peak_memory_bounded_in_replicas(self):
+        n = 101
+        rng = np.random.default_rng(n)
+        prof, w = explicit(rng.random(n)), rng.normal(1.0, 1.0, n)
+        weighted_majority_prob(prof, w, mode="mc", replicas=1000, seed=2)
+        peaks = []
+        for replicas in (65_536, 262_144):
+            tracemalloc.start()
+            try:
+                weighted_majority_prob(prof, w, mode="mc", replicas=replicas, seed=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 4096
 
 
 class TestMonteCarloInterval:

@@ -63,7 +63,7 @@ def traced_layers(checkout: Path, workload: str, seed: int) -> dict[str, float]:
 
 
 def provenance(checkout: Path) -> dict:
-    """Git commit, whether the tree differs from it, and a digest of src/."""
+    """Git commit, whether src/ differs from it, and a digest of src/."""
     def git(*args):
         proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
                               text=True)
@@ -73,7 +73,8 @@ def provenance(checkout: Path) -> dict:
     for path in sorted((checkout / "src").rglob("*.py")):
         digest.update(path.relative_to(checkout).as_posix().encode())
         digest.update(path.read_bytes())
-    status = git("status", "--porcelain", "--untracked-files=no")
+    # only src/, the tree the digest covers: an edited document moves no number
+    status = git("status", "--porcelain", "--untracked-files=no", "--", "src")
     return {
         "git_sha": git("rev-parse", "HEAD"),
         "modified_since_commit": None if status is None else bool(status),
