@@ -7,18 +7,24 @@ profiles, Monte Carlo replicas and parallel workers can each own a
 substream without any shared mutable state.  Results therefore never
 depend on scheduling or worker count.
 
-Draw i of the stream with key k is the 53-bit integer
-mix(k + i * gamma) >> 11, and its uniform is that integer times 2^-53.
-SplitMix64's mix starts by adding gamma, so a fill adds gamma to its
-row keys once, not to every entry.  Arrays are mixed in place, _BLOCK
+Word i of the stream with key k is the 64-bit integer
+mix(k + i * gamma); its draw is the 53-bit integer word >> 11, and its
+uniform is the draw times 2^-53.  SplitMix64's mix starts by adding
+gamma, so a fill adds gamma to its row keys once, not to every entry.
+Every word comes from one in-place fill, `_fill`, which mixes _BLOCK
 entries at a time, so the working set of a mixing pass stays in cache
 however large the request; `uniforms` converts each block into its float
 output from one reused integer block.  `uniforms` also fills many
 streams at once, one row per seed, so the profiles of one size cost one
-pass, not one call each.  `fill_columns` fills any set of columns of
-any rows, so a kernel can draw a replica's voters in any order, and
-since a draw is a function of its index alone, redrawing a whole row
-later gives the same draws.
+pass, not one call each.  `fill_words` fills contiguous words of many
+keyed rows and `words_at` any (key, index) pairs, so a kernel can read
+the raw words it needs; since a word is a function of its index alone,
+reading it again later gives the same word.  The weighted Monte Carlo
+tally (layout 2, see `tally`) splits each word into four 16-bit voter
+fields and reads a 37-bit refinement, word >> 27 of a second stream,
+only where a field ties its threshold.  Where the words are uniform
+and independent, as the streams are built to give, so are any disjoint
+bit fields of them.
 """
 
 from __future__ import annotations
@@ -58,42 +64,38 @@ def _finalize_inplace(z: np.ndarray, t: np.ndarray) -> None:
     z ^= t
 
 
-def fill_columns(out: np.ndarray, keys: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """out[r, c] = mix(keys[r] + cols[c] * gamma) >> 11, in place.
-
-    `cols` holds any column indices below 2^64, in any order, and `out`
-    is a C-contiguous uint64 array of shape (len(keys), len(cols)).
-    Entry (r, c) is draw cols[c] of the stream keyed keys[r] however the
-    rows and columns are chosen or batched.
+def fill_words(out: np.ndarray, keys: np.ndarray, start: int = 0) -> np.ndarray:
+    """out[r, j] = mix(keys[r] + (start + j) * gamma), in place: words
+    start..start + width - 1 of the stream keyed keys[r], as raw 64-bit
+    words.  `out` is a C-contiguous uint64 array of shape (len(keys), width).
     """
-    return _fill(out, keys, np.asarray(cols, dtype=np.uint64) * np.uint64(_GAMMA))
-
-
-def _fill_bits(out: np.ndarray, keys: np.ndarray, start: int) -> np.ndarray:
-    """out[r, j] = mix(keys[r] + (start + j) * gamma) >> 11, in place:
-    `fill_columns` on the contiguous columns start..start + width - 1."""
     steps = np.arange(start, start + out.shape[1], dtype=np.uint64)
     steps *= _GAMMA
-    return _fill(out, keys, steps)
+    return _fill(out, keys[:, None], steps)
+
+
+def words_at(keys: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """mix(keys[i] + cols[i] * gamma) for each i: word cols[i] of the
+    stream keyed keys[i], one word per (key, index) pair."""
+    steps = np.asarray(cols, dtype=np.uint64) * np.uint64(_GAMMA)
+    return _fill(np.empty(len(steps), dtype=np.uint64), keys, steps)
 
 
 def _fill(out: np.ndarray, keys: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """out[r, c] = mix(keys[r] + steps[c]) >> 11, in place, where steps[c]
-    is column c's index times gamma.
+    """out = mix(keys + steps), in place, with `keys` and the 1-D `steps`
+    (indices times gamma) broadcast to out's shape.
 
-    mix's first step, + gamma, is added to the len(keys) row keys, not to
-    every entry.  Once added, `steps` is spent and serves as the mixing
-    scratch when it is long enough, so a one-row fill takes no second
-    block.
+    mix's first step, + gamma, is added to the keys, not to every entry.
+    Once added, `steps` is spent and serves as the mixing scratch when it
+    is long enough, so a one-row fill takes no second block.
     """
-    np.add((keys + np.uint64(_GAMMA))[:, None], steps[None, :], out=out)
+    np.add(keys + np.uint64(_GAMMA), steps, out=out)
     flat = out.reshape(-1)
     size = min(flat.size, _BLOCK)
     scratch = steps[:size] if steps.size >= size else np.empty(size, dtype=np.uint64)
     for lo in range(0, flat.size, _BLOCK):
         z = flat[lo : lo + _BLOCK]
         _finalize_inplace(z, scratch[: z.size])
-        z >>= 11
     return out
 
 
@@ -125,7 +127,8 @@ def uniforms(
     bits = np.empty(rows * width, dtype=np.uint64)
     for lo in range(0, count, width):
         cols = min(width, count - lo)
-        block = _fill_bits(bits[: rows * cols].reshape(rows, cols), keys, start + lo)
+        block = fill_words(bits[: rows * cols].reshape(rows, cols), keys, start + lo)
+        block >>= 11
         np.multiply(block, 2.0**-53, out=out[:, lo : lo + cols])
     return out[0] if one else out
 
@@ -151,16 +154,18 @@ def bits_block(
 
     Used for replica-indexed Monte Carlo: each row is an independent
     per-replica stream, and extending `cols` extends every row in place.
-    Draw b has the uniform b * 2^-53.  `out`, if given, is a C-contiguous
-    uint64 array of that shape and receives the draws.  `fill_columns`
-    with the keys of `row_keys` draws any other set of columns.
+    Draw b is word >> 11 of `fill_words` with the keys of `row_keys`, and
+    has the uniform b * 2^-53.  `out`, if given, is a C-contiguous uint64
+    array of that shape and receives the draws.
     """
     shape = (len(rows), cols)
     if out is None:
         out = np.empty(shape, dtype=np.uint64)
     elif out.shape != shape or out.dtype != np.uint64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous uint64 array of shape {shape}")
-    return _fill_bits(out, row_keys(seed, path, rows), col_start)
+    fill_words(out, row_keys(seed, path, rows), col_start)
+    out >>= 11
+    return out
 
 
 def uniforms_block(

@@ -56,12 +56,24 @@ enumeration covers n <= 31 by meet-in-the-middle (Horowitz & Sahni
 1974): each half of the voters lists its 2^(n/2) scores and
 probabilities, one half is sorted, and each outcome of the other half
 finds the mass that beats or ties it by binary search over suffix sums.
-Beyond n = 31 a seeded Monte Carlo runs one substream per replica:
-draw (r, i) of replica r's stream decides voter i, which is correct
-where the draw is below ceil(p_i * 2^53).  That integer test is exactly
-the test u < p_i on the draw's uniform u = draw * 2^-53, so which voters
-are correct depends on neither the batching nor the order in which the
-voters are drawn.  A replica wins where its full-row score
+Beyond n = 31 a seeded Monte Carlo runs two substreams per replica r,
+keyed (_REPLICA_TAG, r) and (_REFINE_TAG, r), whose 64-bit words are
+`streams.fill_words`' mix(key + i * gamma).  The voters take
+heavy-first positions j: descending |w|, equal |w| in descending index.
+Under layout 2, the voter at position j reads the 16-bit field
+F = (word >> 16 (j mod 4)) mod 2^16 of word j div 4 of the first
+stream, so one word decides four voters.  With T = ceil(p * 2^53),
+T_hi = min(T >> 37, 2^16 - 1) and T_lo = T - T_hi 2^37 (at most 2^37),
+the voter is correct iff F 2^37 + G < T, G = word j of the second
+stream >> 27, a 37-bit refinement: that is, iff F < T_hi, or F == T_hi
+and G < T_lo.  So G is drawn only on a tie, F == T_hi with T_lo > 0,
+which has probability 2^-16.  F 2^37 + G is uniform on the integers
+below 2^53, so P(correct) = T 2^-53 exactly: the law of the test u < p
+on a 53-bit uniform u, from a quarter of the hashes (Knuth & Yao 1976
+on drawing random bits lazily; the streams are counter-based, so a bit
+can be drawn later from its index: Salmon et al., SC 2011).  Which
+voters are correct depends on neither the batching nor the order in
+which they are decided.  A replica wins where its full-row score
 fl(2 S - fl(sum w)) is above 0, S numpy's pairwise sum of the row
 np.where(correct, w, 0.0), held C-contiguous in voter order.  The order
 of that sum's additions is fixed by n alone, so the score, too, depends
@@ -85,13 +97,14 @@ within (n - 1) u W, and R + margin rounds once, by at most u W.  These
 add up to (8n - 3) u W, half the margin; the other half covers the
 second-order terms.  So |P| > R + margin puts the exact score and the
 full-row score on P's side of 0, and no rounding flips a decision.  A
-replica still undecided after the stages is redrawn whole, in voter
-order, from its own stream, and given its full-row score; the streams
-are counter-based, so no drawn flag need be kept for it.  Every win
-count therefore equals the count of positive full-row scores over all
-replicas, near-ties and exact ties (losses) included, whatever the
-batching.  `TallyEstimate.draws` counts every draw made, a redrawn
-replica's staged draws twice, so at most 2n per replica.
+replica still undecided after the stages is redrawn whole from its own
+streams, its flags are scattered back to voter order, and it is given
+its full-row score; the streams are counter-based, so no drawn flag
+need be kept for it.  Every win count therefore equals the count of
+positive full-row scores over all replicas, near-ties and exact ties
+(losses) included, whatever the batching.  `TallyEstimate.draws`
+counts every voter decision, a redrawn replica's staged ones twice, so
+at most 2n per replica.
 
 The win frequency gets a 95% interval: Wald for interior counts, and
 the exact Clopper-Pearson width when every replica or none wins, so no
@@ -100,7 +113,9 @@ interval has zero width.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -126,9 +141,12 @@ MAX_BRUTE_N = 31
 # weighted_majority_prob's modes; "auto" enumerates up to MAX_BRUTE_N, else Monte Carlo
 MODES = ("auto", "brute", "mc")
 _REPLICA_TAG = 0x4D43
-# draws per chunk of a Monte Carlo stage or of the rows the closing pass
-# redraws, so a chunk's draws and float terms stay in cache; also the
-# replicas per group, which bounds the kernel's memory in the replica count
+# the substream of the 37-bit refinements that settle a tied 16-bit field
+_REFINE_TAG = 0x5246
+# voter decisions per chunk of a Monte Carlo stage or of the rows the
+# closing pass redraws, so a chunk's words, flags and float terms stay in
+# cache; also the replicas per group, which bounds the kernel's memory in
+# the replica count
 _MC_CHUNK = 1 << 15
 # Monte Carlo stages: stage k ends where the undrawn sum |w| falls to 2^-k of it
 _STAGES = 4
@@ -646,46 +664,100 @@ def _stage_ends(heavy: np.ndarray) -> list[tuple[int, float]]:
     return [(e, float(np.sum(heavy[e:]))) for e in dict.fromkeys(ends.tolist()) if e < len(heavy)]
 
 
+def _correct(
+    ps: np.ndarray,
+    order: np.ndarray,
+    t_hi: np.ndarray,
+    seed: int,
+    rows: np.ndarray,
+    keys: np.ndarray,
+    lo: int,
+    hi: int,
+) -> np.ndarray:
+    """Correct-or-not flags, (len(rows), hi - lo), of the voters at
+    heavy-first positions lo..hi-1 for the replicas `rows` keyed `keys`,
+    under layout 2 (module docstring)."""
+    first = lo // 4
+    words = np.empty((len(rows), (hi + 3) // 4 - first), dtype="<u8")
+    streams.fill_words(words, keys, first)
+    # field f of a word is its little-endian 16-bit lane f
+    fields = words.view("<u2")[:, lo - 4 * first : hi - 4 * first]
+    t = t_hi[lo:hi]
+    correct = fields < t
+    # the flat index of a 2-D array's nonzeros is far cheaper than its pairs
+    tied = np.flatnonzero(fields == t)
+    if len(tied):
+        r, c = np.divmod(tied, hi - lo)
+        j = lo + c
+        # T = ceil(p * 2^53): the scaling and its ceiling are exact
+        t_lo = np.ceil(ps[order[j]] * 2.0**53).astype(np.uint64)
+        t_lo -= t[c].astype(np.uint64) << np.uint64(37)
+        tie = t_lo > 0
+        r, j, t_lo = r[tie], j[tie], t_lo[tie]
+        refine = streams.words_at(streams.row_keys(seed, (_REFINE_TAG,), rows[r]), j)
+        correct[r, c[tie]] = refine >> np.uint64(27) < t_lo
+    return correct
+
+
+def _field_thresholds(ps: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """T_hi = min(T >> 37, 2^16 - 1) of T = ceil(p * 2^53) for the voters
+    in `order`, as uint16.  One float array holds every step, and each is
+    exact: T is an integer of at most 2^53, and T * 2^-37 is exact."""
+    t = ps[order]
+    t *= 2.0**53
+    np.ceil(t, out=t)
+    t *= 2.0**-37
+    np.floor(t, out=t)
+    np.minimum(t, 0xFFFF, out=t)
+    return t.astype(np.uint16)
+
+
 def _draw_piece(
-    ps: np.ndarray, w: np.ndarray, cols: np.ndarray, keys: np.ndarray, score: np.ndarray
+    decide: Callable[..., np.ndarray],
+    w_cols: np.ndarray,
+    rows: np.ndarray,
+    keys: np.ndarray,
+    lo: int,
+    hi: int,
+    score: np.ndarray,
 ) -> int:
-    """Draw voters `cols` for the replicas keyed `keys` and add
-    fl(2 fl(correct @ w_cols) - fl(sum w_cols)) to `score`.  Chunks hold
-    at most _MC_CHUNK draws.  Returns the draws."""
-    # b < ceil(p * 2^53) iff b * 2^-53 < p: the scaling is exact and every
-    # draw b is an integer below 2^53 (so p = 1 passes all, p = 0 none)
-    thresholds = np.ceil(ps[cols] * 2.0**53).astype(np.uint64)
-    w_cols = w[cols]
+    """Decide the voters at heavy-first positions lo..hi-1, of weights
+    `w_cols`, for the replicas `rows` keyed `keys`, by `decide` (`_correct`
+    bound to the tally), and add fl(2 fl(correct @ w_cols) - fl(sum
+    w_cols)) to `score`.  Chunks hold at most _MC_CHUNK voter decisions.
+    Returns the decisions."""
     w_sum = float(np.sum(w_cols))
-    cols = cols.astype(np.uint64)
-    width = len(cols)
+    width = hi - lo
     step = max(1, _MC_CHUNK // width)
-    bits = np.empty(min(step, len(keys)) * width, dtype=np.uint64)
     for r in range(0, len(keys), step):
-        m = min(step, len(keys) - r)
-        block = streams.fill_columns(bits[: m * width].reshape(m, width), keys[r : r + m], cols)
-        score[r : r + m] += 2.0 * ((block < thresholds) @ w_cols) - w_sum
+        correct = decide(rows[r : r + step], keys[r : r + step], lo, hi)
+        score[r : r + step] += 2.0 * (correct @ w_cols) - w_sum
     return len(keys) * width
 
 
-def _full_row_wins(ps: np.ndarray, w: np.ndarray, seed: int, rows: np.ndarray) -> int:
-    """Wins among the replicas `rows`, each redrawn whole, in voter order,
-    from its own stream and scored as fl(2 S - fl(sum w)), S numpy's
-    pairwise sum of np.where(correct, w, 0.0) along the C-contiguous row,
-    whose order is fixed by the row's length: so the score depends on
-    the replica's draws alone.  The rows go in chunks of at most
-    _MC_CHUNK draws, or one row."""
-    n = len(ps)
+def _full_row_wins(
+    decide: Callable[..., np.ndarray],
+    w: np.ndarray,
+    order: np.ndarray,
+    rows: np.ndarray,
+    keys: np.ndarray,
+) -> int:
+    """Wins among the replicas `rows` keyed `keys`, each redrawn whole
+    by `decide`, its flags scattered back to voter order through `order`,
+    and scored as fl(2 S - fl(sum w)), S numpy's pairwise sum of
+    np.where(correct, w, 0.0) along the C-contiguous row, whose order is
+    fixed by the row's length: so the score depends on the replica's
+    draws alone.  The rows go in chunks of at most _MC_CHUNK voter
+    decisions, or one row."""
+    n = len(w)
     w_sum = float(np.sum(w))
     step = max(1, _MC_CHUNK // n)
-    bits = np.empty(min(step, len(rows)) * n, dtype=np.uint64)
+    flags = np.empty(min(step, len(rows)) * n, dtype=bool)
     wins = 0
     for lo in range(0, len(rows), step):
         chunk = rows[lo : lo + step]
-        block = bits[: len(chunk) * n].reshape(len(chunk), n)
-        streams.bits_block(seed, (_REPLICA_TAG,), chunk, n, out=block)
-        # u = b * 2^-53 is exact, so u < p is the stages' test b < ceil(p * 2^53)
-        correct = block * 2.0**-53 < ps
+        correct = flags[: len(chunk) * n].reshape(len(chunk), n)
+        correct[:, order] = decide(chunk, keys[lo : lo + step], 0, n)
         score = 2.0 * np.where(correct, w, 0.0).sum(axis=1) - w_sum
         wins += int(np.count_nonzero(score > 0.0))
     return wins
@@ -698,17 +770,18 @@ def _monte_carlo_weighted(
 
     The replicas go in groups of _MC_CHUNK, so memory is bounded in
     `replicas`.  For each group, each stage's voters (heaviest first)
-    are drawn for the group's undecided replicas, in pieces of
+    are decided for the group's undecided replicas, in pieces of
     _MC_CHUNK / 8 voters (`_draw_piece`), and after each stage the
     decided replicas leave.  A replica still undecided is redrawn whole
-    and scored on its full row (`_full_row_wins`), so its staged draws
-    are made twice and `draws`, which counts every draw made, is at most
-    2n per replica.  At n = 65537 the closing pass holds 4 bytes per
-    voter of order and 8 of one row's draws, and beside them 8 of column
-    steps while the row is filled, then 8 of its uniforms and 1 of its
-    correct-or-not flags, then the flags and 8 of its float terms: at
-    most 21, within the 25 a block of whole rows took (8 of thresholds,
-    8 of draws and 9 of their bools and float cast).
+    and scored on its full row (`_full_row_wins`), so its staged voters
+    are decided twice and `draws`, which counts every voter decision,
+    is at most 2n per replica.  At n = 65537 the closing pass holds 4
+    bytes per voter of order and 2 of field thresholds, and beside them
+    2 of one row's words, 1 of its flags in voter order and, while it
+    fills the row, 2 of word steps, then 2 of flags in position order
+    and their ties, then the flags and 8 of its float terms: at most 17,
+    within the 25 a block of whole rows took (8 of thresholds, 8 of
+    draws and 9 of their bools and float cast).
     """
     n = len(ps)
     # int32 halves the order, the one n-length array held throughout
@@ -716,9 +789,9 @@ def _monte_carlo_weighted(
     heavy = w[order]
     np.abs(heavy, out=heavy)
     total = float(np.sum(heavy))
-    # if 4W overflows, so could a score: then no replica is decided early
-    stages = _stage_ends(heavy) if math.isfinite(4.0 * total) else []
+    stages = _stage_ends(heavy)
     del heavy
+    decide = functools.partial(_correct, ps, order, _field_thresholds(ps, order), seed)
     # past this margin no rounding flips a decision: see the module docstring
     margin = 16 * (n + 8) * _U * total
     piece = _MC_CHUNK // 8
@@ -732,13 +805,14 @@ def _monte_carlo_weighted(
             if not len(rows):
                 break
             for a in range(lo, hi, piece):
-                draws += _draw_piece(ps, w, order[a : min(a + piece, hi)], keys, score)
+                b = min(a + piece, hi)
+                draws += _draw_piece(decide, w[order[a:b]], rows, keys, a, b, score)
             lo = hi
             decided = np.abs(score) > undrawn + margin
             wins += int(np.count_nonzero(score[decided] > 0.0))
             keep = ~decided
             rows, keys, score = rows[keep], keys[keep], score[keep]
-        wins += _full_row_wins(ps, w, seed, rows)
+        wins += _full_row_wins(decide, w, order, rows, keys)
         draws += len(rows) * n
     return monte_carlo_estimate(wins, replicas, draws)
 
@@ -772,6 +846,13 @@ def weighted_majority_prob(
     w = _checked_weights(profile, weights)
     if not np.any(w != 0.0):
         raise ValueError("at least one weight must be nonzero")
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.abs(w)))
+    if not math.isfinite(4.0 * total):
+        # w / 2^k has the same rule (exactly: the division rounds nothing
+        # unless a weight turns subnormal), and with 2^k > 4n no sum of
+        # 4|w| / 2^k, each below 2^1024 / 2^k, overflows
+        w = w * 2.0 ** -(len(w).bit_length() + 2)
     if mode == "brute" and profile.n > MAX_BRUTE_N:
         raise ValueError(f"brute force capped at n={MAX_BRUTE_N}, got {profile.n}")
     if mode == "auto":

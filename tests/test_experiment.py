@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+from statistics import NormalDist
 
 import pytest
 
@@ -28,7 +30,9 @@ from jurylab.weights import (
     StochasticPoly,
     UnitWeights,
     drift,
+    find_k,
 )
+from test_tally import reference_mc_value
 
 
 def small_config(**overrides):
@@ -194,12 +198,12 @@ class TestRun:
 
     @pytest.fixture
     def weighted_tallies(self, monkeypatch):
-        """(profile, estimate) of every weighted tally `run` makes."""
+        """(profile, weights, seed, estimate) of every weighted tally `run` makes."""
         records = []
 
         def record(profile, w, **kwargs):
             est = weighted_majority_prob(profile, w, **kwargs)
-            records.append((profile, est))
+            records.append((profile, w, kwargs["seed"], est))
             return est
 
         monkeypatch.setattr(experiment, "weighted_majority_prob", record)
@@ -207,18 +211,40 @@ class TestRun:
 
     def test_unit_weights_honour_mc(self, weighted_tallies):
         # only "auto" takes the exact DP for equal weights
-        cfg = small_config(n_grid=(11, 21), profiles_per_n=10, tally_mode="mc", replicas=4000)
+        replicas = 4000
+        cfg = small_config(n_grid=(11, 21), profiles_per_n=10, tally_mode="mc", replicas=replicas)
         assert [r.method for r in run(cfg).rows] == ["monte_carlo"] * 2
         assert len(weighted_tallies) == 20
-        for prof, est in weighted_tallies:
-            assert abs(est.value - majority_prob_exact(prof).value) <= est.half_width
+        # every estimate within z standard errors of the truth, z for a
+        # family error of 1e-3 over the 20 tallies (Bonferroni)
+        z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(weighted_tallies)))
+        for prof, w, seed, est in weighted_tallies:
+            assert est.value == reference_mc_value(prof.competences, w, replicas, seed)
+            exact = majority_prob_exact(prof).value
+            assert abs(est.value - exact) <= z * math.sqrt(exact * (1.0 - exact) / replicas)
 
     def test_unit_weights_honour_brute(self, weighted_tallies):
         cfg = small_config(n_grid=(11, 21), profiles_per_n=10, tally_mode="brute")
         assert [r.method for r in run(cfg).rows] == ["brute_force"] * 2
         assert len(weighted_tallies) == 20
-        for prof, est in weighted_tallies:
+        for prof, _, _, est in weighted_tallies:
             assert abs(est.value - majority_prob_exact(prof).value) <= 1e-12
+
+    def test_theorem_4_3_sweep_pinned(self, weighted_tallies):
+        # the stochastic-weight sweep of Theorem 4.3: 50 Monte Carlo
+        # tallies, pinned by the SHA-256 prefix of one line per tally
+        spec = affine(-2.0)
+        cfg = ExperimentConfig(
+            measure=spec, scheme=StochasticPoly(W=100.0, k=find_k(spec), sigma_w=1.98),
+            n_grid=(101, 301, 1001, 3001, 10001), profiles_per_n=10, replicas=2000, seed=4300,
+        )
+        run(cfg)
+        text = "".join(
+            f"{est.value.hex()} {est.half_width.hex()} {est.n_replicas} {est.method}\n"
+            for _, _, _, est in weighted_tallies
+        )
+        assert len(weighted_tallies) == 50
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "2688114de1c8f94a"
 
     def test_auto_resolved_at_the_enumeration_cap(self):
         # auto enumerates up to MAX_BRUTE_N and samples beyond it, silently
@@ -233,7 +259,8 @@ class TestRun:
 # SHA-256 prefixes of report_to_csv, recorded before profiles were drawn
 # a size at a time; each config takes a different route through run.
 # unit_lebesgue was re-recorded when the exact tally's leaves grew to 128
-# voters: its three median_win values moved by 1 to 3 ulps
+# voters: its three median_win values moved by 1 to 3 ulps;
+# stochastic_monte_carlo when the Monte Carlo voter draws moved to layout 2
 RUN_PINS = {
     "unit_lebesgue": (
         dict(measure=lebesgue(), scheme=UnitWeights(), n_grid=(11, 51, 201), profiles_per_n=40),
@@ -252,7 +279,7 @@ RUN_PINS = {
     "stochastic_monte_carlo": (
         dict(measure=affine(1.0), scheme=StochasticPoly(W=10.0, k=2, sigma_w=2.0),
              n_grid=(33, 101), profiles_per_n=10, replicas=200),
-        "1838d567ebdeb29c",
+        "996adb581d6d0a18",
     ),
     "atoms_at_0_and_1": (
         dict(measure=MeasureSpec(atoms=((0.0, 0.4), (1.0, 0.6))), scheme=UnitWeights(),

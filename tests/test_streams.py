@@ -5,13 +5,13 @@ import pytest
 
 from jurylab.streams import (
     _BLOCK,
-    _fill_bits,
     bits_block,
-    fill_columns,
+    fill_words,
     row_keys,
     stream_key,
     uniforms,
     uniforms_block,
+    words_at,
 )
 
 # Values recorded from the original allocating implementation; any change
@@ -53,8 +53,8 @@ def one_shot_uniforms(seed, path, count, start):
     """Reference: the unblocked body, which held every uint64 draw and the
     float64 result at once."""
     keys = np.array([stream_key(seed, *path)], dtype=np.uint64)
-    bits = _fill_bits(np.empty((1, count), dtype=np.uint64), keys, start)
-    return bits[0] * 2.0**-53
+    words = fill_words(np.empty((1, count), dtype=np.uint64), keys, start)
+    return (words[0] >> np.uint64(11)) * 2.0**-53
 
 
 class TestBatching:
@@ -81,15 +81,29 @@ class TestBatching:
         assert np.array_equal(np.hstack([left, right]), whole)
 
     def test_any_columns_match_the_block(self):
-        # unordered, repeated and far columns are the block's own draws
+        # unordered, repeated and far (key, column) pairs are the block's own words
         rows = np.arange(3, 9)
         whole = bits_block(11, (2,), rows, 600, col_start=2**62)
         picks = [599, 0, 17, 17, 301]
-        cols = np.array(picks, dtype=np.uint64) + np.uint64(2**62)
-        out = np.empty((len(rows), len(cols)), dtype=np.uint64)
-        got = fill_columns(out, row_keys(11, (2,), rows), cols)
-        assert got is out
-        assert np.array_equal(got, whole[:, picks])
+        pairs = [(r, c) for r in (5, 0, 5, 2) for c in picks]
+        keys = row_keys(11, (2,), rows)[[r for r, _ in pairs]]
+        cols = np.array([c for _, c in pairs], dtype=np.uint64) + np.uint64(2**62)
+        got = words_at(keys, cols) >> np.uint64(11)
+        assert np.array_equal(got, [whole[r, c] for r, c in pairs])
+
+    def test_words_are_the_draws_before_the_shift(self):
+        # bits_block is fill_words >> 11 on the same rows and columns, and
+        # a fill split by columns or by rows gives the same words
+        rows = np.arange(40, 47)
+        keys = row_keys(13, (9,), rows)
+        whole = fill_words(np.empty((7, 70_001), dtype=np.uint64), keys, 2**61)
+        assert np.array_equal(whole >> np.uint64(11), bits_block(13, (9,), rows, 70_001, 2**61))
+        left = fill_words(np.empty((7, 65_537), dtype=np.uint64), keys, 2**61)
+        right = fill_words(np.empty((7, 4_464), dtype=np.uint64), keys, 2**61 + 65_537)
+        assert np.array_equal(np.hstack([left, right]), whole)
+        top = fill_words(np.empty((2, 70_001), dtype=np.uint64), keys[[5, 0]], 2**61)
+        assert np.array_equal(top, whole[[5, 0]])
+        assert int(whole.max()) >= 2**63  # the top bits are there, not shifted out
 
     def test_out_buffer_matches_fresh_array(self):
         rows = np.arange(3)

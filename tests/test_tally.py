@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -157,25 +158,66 @@ def random_weights(rng, kind: str, ps) -> np.ndarray:
     return w
 
 
-def reference_mc_scores(ps, w, replicas, seed) -> np.ndarray:
-    """Every replica's full-row score fl(2 S - fl(sum w)) from whole rows
-    of float draws, 2^22 entries at a time: S is numpy's pairwise sum of
-    the row np.where(u < p, w, 0.0), which follows the voter order only
-    on C-contiguous rows, as these are."""
+def reference_draws(n, rows, seed) -> np.ndarray:
+    """Layout 2, eagerly: D[r, j] = F << 37 | G for the voter at
+    heavy-first position j of replica rows[r], with every 16-bit field F
+    and every 37-bit refinement G drawn, ties or not.  The voter is
+    correct iff D < ceil(p * 2^53), that is iff D * 2^-53 < p."""
+    j = np.arange(n, dtype=np.uint64)
+    keys = streams.row_keys(seed, (tally._REPLICA_TAG,), rows)
+    words = streams.fill_words(np.empty((len(rows), (n + 3) // 4), dtype=np.uint64), keys)
+    fields = (words[:, j // np.uint64(4)] >> (j % np.uint64(4) * np.uint64(16))) & np.uint64(0xFFFF)
+    keys = streams.row_keys(seed, (tally._REFINE_TAG,), rows)
+    refine = streams.fill_words(np.empty((len(rows), n), dtype=np.uint64), keys)
+    return fields << np.uint64(37) | refine >> np.uint64(27)
+
+
+def heavy_first(w) -> np.ndarray:
+    """The voters in descending |w|, equal |w| in descending index."""
+    return np.argsort(np.abs(w), kind="stable")[::-1]
+
+
+def reference_mc_chunks(ps, w, replicas, seed):
+    """(rows, correct-or-not flags in voter order, position thresholds T
+    and position draws D) in chunks of 2^20 voters, from `reference_draws`."""
     n = len(ps)
-    w_sum = float(np.sum(w))
-    chunk = max(1, (1 << 22) // n)
-    scores = []
+    order = heavy_first(w)
+    t = np.ceil(ps[order] * 2.0**53).astype(np.uint64)
+    chunk = max(1, (1 << 20) // n)
     for start in range(0, replicas, chunk):
         rows = np.arange(start, min(start + chunk, replicas))
-        u = streams.uniforms_block(seed, (tally._REPLICA_TAG,), rows, n)
-        scores.append(2.0 * np.where(u < ps[None, :], w, 0.0).sum(axis=1) - w_sum)
-    return np.concatenate(scores)
+        d = reference_draws(n, rows, seed)
+        correct = np.empty(d.shape, dtype=bool)
+        correct[:, order] = d < t
+        yield rows, correct, t, d
+
+
+def reference_mc_scores(ps, w, replicas, seed) -> np.ndarray:
+    """Every replica's full-row score fl(2 S - fl(sum w)): S is numpy's
+    pairwise sum of the row np.where(correct, w, 0.0), which follows the
+    voter order only on C-contiguous rows, as these are."""
+    w_sum = float(np.sum(w))
+    return np.concatenate([
+        2.0 * np.where(correct, w, 0.0).sum(axis=1) - w_sum
+        for _, correct, _, _ in reference_mc_chunks(ps, w, replicas, seed)
+    ])
 
 
 def reference_mc_value(ps, w, replicas, seed) -> float:
     """Reference: the share of replicas whose full-row score is above 0."""
     return np.count_nonzero(reference_mc_scores(ps, w, replicas, seed) > 0.0) / replicas
+
+
+def reference_ties(ps, w, replicas, seed) -> int:
+    """The (replica, voter) pairs whose field F equals T_hi = min(T >> 37,
+    2^16 - 1) with T_lo = T - T_hi 2^37 > 0: those the kernel refines if
+    it decides them."""
+    ties = 0
+    for _, _, t, d in reference_mc_chunks(ps, w, replicas, seed):
+        t_hi = np.minimum(t >> np.uint64(37), np.uint64(0xFFFF))
+        tie = (d >> np.uint64(37) == t_hi) & (t > t_hi << np.uint64(37))
+        ties += int(np.count_nonzero(tie))
+    return ties
 
 
 class TestProductTree:
@@ -727,6 +769,18 @@ class TestWeightedMajority:
                 scaled = weighted_majority_prob(explicit(ps), c * w, mode="brute").value
                 assert scaled == base
 
+    def test_overflowing_weight_sum(self):
+        # 4 sum|w| overflows while every weight is finite: the rule of
+        # w / 2^k decides, as it does for w / 1e300
+        ps = np.full(33, 0.999999)
+        w = np.full(33, 1e307)
+        w[0] = -1e307
+        est = weighted_majority_prob(explicit(ps), w, mode="mc", replicas=1000, seed=1)
+        small = weighted_majority_prob(explicit(ps), w / 1e300, mode="mc", replicas=1000, seed=1)
+        assert est.value == small.value == 1.0
+        brute = weighted_majority_prob(explicit(ps[:31]), w[:31], mode="brute")
+        assert brute.value == weighted_majority_prob(explicit(ps[:31]), w[:31] / 1e300).value
+
     def test_mc_covers_brute_truth(self):
         rng = np.random.default_rng(123)
         covered = 0
@@ -831,12 +885,13 @@ class TestMonteCarloKernel:
 
     def test_thresholds_exact_at_the_draws(self):
         # voter 0 alone decides, and its p sits on, just below and just
-        # above draws of its own stream, so an off-by-one threshold shows
+        # above draws of its own stream, so an off-by-one threshold shows;
+        # on a draw, F == T_hi, so the kernel refines to settle it
         n, replicas, seed = 27, 400, 5
         w = np.zeros(n)
         w[0] = 1.0
         rows = np.arange(replicas)
-        draws = streams.uniforms_block(seed, (tally._REPLICA_TAG,), rows, 1)[:, 0]
+        draws = reference_draws(1, rows, seed)[:, 0] * 2.0**-53
         ps = np.random.default_rng(3).random(n)
         for d in draws[:4]:
             for p0 in (np.nextafter(d, 0.0), d, np.nextafter(d, 1.0)):
@@ -846,6 +901,65 @@ class TestMonteCarloKernel:
                 )
                 assert est.value == np.count_nonzero(draws < p0) / replicas
                 assert est.value == reference_mc_value(ps, w, replicas, seed)
+
+
+class TestTwoLevelDecision:
+    """The kernel's lazy test, F < T_hi or, where F == T_hi and T_lo > 0,
+    G < T_lo, against the eager comparison (F << 37 | G) < T, on fields
+    and refinements that a fake stream serves."""
+
+    PS = (0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0, 0.5, 0.3)
+
+    @staticmethod
+    def cases():
+        """(p, F, G) around each p's T_hi and T_lo; p = 0.5 has T_lo = 0,
+        p = 1 has T_hi = 65535 and T_lo = 2^37."""
+        for p in TestTwoLevelDecision.PS:
+            t = math.ceil(p * 2**53)
+            t_hi = min(t >> 37, 2**16 - 1)
+            t_lo = t - (t_hi << 37)
+            for f in sorted({t_hi - 1, t_hi, t_hi + 1}):
+                for g in sorted({0, t_lo - 1, t_lo, 2**37 - 1}):
+                    if 0 <= f < 2**16 and 0 <= g < 2**37:
+                        yield p, f, g
+
+    def test_matches_the_eager_comparison(self, monkeypatch):
+        cases = list(self.cases())
+        ps = np.array([p for p, _, _ in cases])
+        fields = [f for _, f, _ in cases] + [0] * 3
+        refines = [g for _, _, g in cases]
+        drawn = []
+
+        def fill_words(out, keys, start):
+            for k in range(out.shape[1]):
+                lanes = fields[4 * (start + k) : 4 * (start + k) + 4]
+                out[0, k] = sum(f << (16 * i) for i, f in enumerate(lanes))
+            return out
+
+        def words_at(keys, cols):
+            drawn.extend(cols.tolist())
+            # bits below the refinement's 37 must not count
+            return np.array([refines[j] << 27 | (1 << 27) - 1 for j in cols], dtype=np.uint64)
+
+        fake = SimpleNamespace(
+            fill_words=fill_words, words_at=words_at,
+            row_keys=lambda seed, path, rows: np.zeros(len(rows), dtype=np.uint64),
+        )
+        monkeypatch.setattr(tally, "streams", fake)
+        n = len(cases)
+        order = np.arange(n, dtype=np.int32)
+        t_hi = tally._field_thresholds(ps, order)
+        eager = [(f << 37 | g) < math.ceil(p * 2**53) for p, f, g in cases]
+        ties = [j for j, (p, f, _) in enumerate(cases)
+                if f == t_hi[j] and math.ceil(p * 2**53) > f << 37]
+        assert 0 < len(ties) < n
+        for lo in (0, 3):
+            drawn.clear()
+            got = tally._correct(ps, order, t_hi, 0, np.zeros(1, dtype=np.int64),
+                                 np.zeros(1, dtype=np.uint64), lo, n)
+            assert got[0].tolist() == eager[lo:]
+            # a refinement is drawn only where it decides
+            assert sorted(drawn) == [j for j in ties if j >= lo]
 
 
 def near_tie(rng, n, zeros):
@@ -875,9 +989,14 @@ class TestEarlyDecision:
 
     @staticmethod
     def estimate(ps, w, replicas, seed):
+        want = reference_mc_value(ps, w, replicas, seed)
         est = weighted_majority_prob(explicit(ps), w, mode="mc", replicas=replicas, seed=seed)
-        assert est.value == reference_mc_value(ps, w, replicas, seed)
-        # an undecided replica's staged draws are made again when it is redrawn whole
+        # 200 splits pieces at 25 voters, off the 4-voter words, and groups at 200 replicas
+        with mock.patch.object(tally, "_MC_CHUNK", 200):
+            small = weighted_majority_prob(explicit(ps), w, mode="mc", replicas=replicas, seed=seed)
+        assert est.value == small.value == want
+        assert est.draws == small.draws
+        # an undecided replica's staged voters are decided again when it is redrawn whole
         assert 0 < est.draws <= 2 * len(ps) * replicas
         return est
 
@@ -942,8 +1061,11 @@ class TestEarlyDecision:
         n, replicas = 65_537, 100
         rng = np.random.default_rng(n)
         ps = rng.uniform(0.45, 0.65, n)
-        est = self.estimate(ps, rng.normal(1.0, 1.0, n), replicas, 8)
+        w = rng.normal(1.0, 1.0, n)
+        est = self.estimate(ps, w, replicas, 8)
         assert est.draws < n * replicas
+        # about 100 of the 6.5M fields tie, so the refinements are drawn
+        assert reference_ties(ps, w, replicas, 8) > 0
 
     def test_independent_of_block_sizes(self, monkeypatch):
         n = 301
@@ -952,13 +1074,17 @@ class TestEarlyDecision:
         # scores, so they show it if that rounding depends on the batching
         cases = [(rng.uniform(0.4, 0.8, n), rng.normal(1.0, 1.0, n), 1500, 10), *near_ties()]
         default = [self.estimate(*case) for case in cases]
-        # 200 also splits the replicas into groups of 200
-        monkeypatch.setattr(tally, "_MC_CHUNK", 200)
-        for case, est in zip(cases, default):
-            small = self.estimate(*case)
-            assert (small.value, small.half_width, small.n_replicas) == (
-                est.value, est.half_width, est.n_replicas
-            )
+        # 104 splits pieces at 13 voters and groups at 104 replicas; 2^17
+        # puts every replica in one group
+        for chunk in (104, 1 << 17):
+            monkeypatch.setattr(tally, "_MC_CHUNK", chunk)
+            for (ps, w, replicas, seed), est in zip(cases, default):
+                other = weighted_majority_prob(
+                    explicit(ps), w, mode="mc", replicas=replicas, seed=seed
+                )
+                assert (other.value, other.half_width, other.n_replicas, other.draws) == (
+                    est.value, est.half_width, est.n_replicas, est.draws
+                )
 
     def test_closing_pass_alone(self, monkeypatch):
         # with no stages every replica is drawn whole in the closing pass, once
