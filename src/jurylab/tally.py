@@ -40,14 +40,15 @@ and |value - exact| <= rounding_bound + trimmed_mass, where
 `rounding_bound` bounds the rest of its error a priori, from the
 number of roundings behind any band entry.
 
-Before the tree, a Chernoff-Hoeffding bound (Hoeffding 1963, Thm 1)
-from mu = sum p_i alone may already fix the double the tree would
-return: 1.0 when the loss tail is certainly below 2^-55, 0.0 when the
-win tail is certainly below 2^-1075 and the tree has a combine.  Then
-the tally returns that double with method "bound", trimmed_mass 0 and
-rounding_bound the certified tail bound, so |value - exact| <=
-rounding_bound still holds; in every other case the tree runs.  With
-many competent voters, the paper's regime, this skips the tree.
+The same Chernoff bound, at the tilt's first Newton point, may already
+fix the double the tree would return: 1.0 when the loss tail is
+certainly below 2^-55 (theta < 0), 0.0 when the win tail is certainly
+below 2^-1075 (theta >= 0).  Then the tally returns that double with
+method "bound", trimmed_mass 0 and rounding_bound the certified tail
+bound, so |value - exact| <= rounding_bound still holds, and no tree is
+built.  This runs where the tilt does, from six leaves on; below that,
+and where the tilt has no theta, the tree answers.  With many competent
+voters, the paper's regime, this skips the tree.
 
 Weighted majority uses the signed formulation X_i in {-1,+1} and
 P(sum w_i X_i > 0); ties (sum exactly 0) count as a loss, which makes
@@ -159,11 +160,9 @@ _UNSCALE = 2.0**-1000
 # unit roundoff of float64
 _U = 2.0**-53
 # certified tail exponents, in nats, that fix the exact tally's double:
-# e^-39 < 2^-55 and e^-746 < 2^-1075; see _chernoff_certificate
+# e^-39 < 2^-55 and e^-746 < 2^-1075; see _certifies
 _SURE_NATS = 39.0
 _NULL_NATS = 746.0
-# the least tail mean at which the exponent is evaluated, so s / m is finite
-_MEAN_FLOOR = 2.0**-1000
 # the tilted trim: each side a combine cuts holds at most _TAU of its node's
 # tilted mass, by a tail bound of _TAU_NATS = -ln _TAU; see _product_tree
 _TAU = 2.0**-110
@@ -290,14 +289,16 @@ def poisson_binomial_pmf(ps: np.ndarray) -> tuple[int, np.ndarray, float]:
     return offset, band, trimmed
 
 
-def _tilt(ps: np.ndarray) -> tuple[float, float, list[tuple[float, float, int]]] | None:
+def _tilt(ps: np.ndarray) -> tuple[float, float, list[tuple[float, float, int]] | None] | None:
     """(theta, ln M(theta), leaf moments) for a tilt theta whose tilted
     mean sum p'_i, p'_i = p_i e^theta / (q_i + p_i e^theta), is within
     1/4 of n/2; None when _NEWTON_STEPS steps do not get there within
     |theta| < _MAX_TILT.  M(theta) = prod (q_i + p_i e^theta).  Leaf r
     holds voters r, r + leaves, r + 2 leaves, ... (`_leaf_pmfs`), and its
     moments are the sums of p'_i and of p'_i (1 - p'_i) over them, and
-    its voter count with padding.
+    its voter count with padding.  The moments are None, and theta the
+    start, when the Chernoff bound there already fixes the tally
+    (`_certifies`).
 
     Newton's method on the tilted mean, whose slope is the tilted
     variance.  It starts from log((n - mu) / mu), the tilt of n voters of
@@ -322,7 +323,7 @@ def _tilt(ps: np.ndarray) -> tuple[float, float, list[tuple[float, float, int]]]
     tilted = pad.reshape(-1)[:n]
     lo, hi = -_MAX_TILT, _MAX_TILT
     theta = math.log((n - mu) / mu) * (mu * (n - mu) / n) / var
-    for _ in range(_NEWTON_STEPS):
+    for step in range(_NEWTON_STEPS):
         if not lo < theta < hi:
             theta = 0.5 * (lo + hi)
         np.multiply(ps, math.exp(theta), out=tilted)
@@ -330,8 +331,11 @@ def _tilt(ps: np.ndarray) -> tuple[float, float, list[tuple[float, float, int]]]
         tilted /= denom
         mean = float(tilted.sum())
         gap = 0.5 * n - mean
-        if abs(gap) <= 0.25:
+        if abs(gap) <= 0.25 or not step:
             log_m = float(np.log(denom, out=denom).sum())
+            if not step and _certifies(theta, log_m, n):
+                return theta, log_m, None
+        if abs(gap) <= 0.25:
             means = pad.sum(axis=0).tolist()
             tilted -= np.multiply(tilted, tilted, out=denom)
             return theta, log_m, [(m, v, leaf) for m, v in zip(means, pad.sum(axis=0).tolist())]
@@ -429,113 +433,88 @@ def _relative_gamma(k: int) -> float:
     return k * _U / (1.0 - 2.0 * k * _U)
 
 
-def _chernoff_certificate(ps: np.ndarray) -> TallyEstimate | None:
-    """The exact tally as method "bound" when a Chernoff-Hoeffding bound
-    fixes the double the tree would return, else None.
+def _chernoff_nats(theta: float, log_m: float, n: int) -> float:
+    """ln of a bound on theta's tail of S = sum X_i: the win tail
+    P(S >= s) for theta >= 0, else the loss tail P(S <= s - 1), with
+    s = (n + 1)/2 and ln M(theta) = `log_m` from `_tilt`.
 
-    The bound.  With s = (n + 1)/2, t = s - 1 and
-    f(m) = s ln(s/m) + t ln(t/(n - m)), a sum Y of n independent
-    variables in [0, 1] with mean m < s has P(Y >= s) <= exp(-f(m)), and
-    f decreases on (0, s) (Hoeffding 1963, Thm 1).  The win tail is
-    P(S >= s), with mean mu = sum p_i; the loss tail is P(n - S >= s),
-    with mean n - mu.  Any m >= the tail's mean with 2m <= n therefore
-    bounds the tail by exp(-f(m)).
+    By Chernoff's bound that tail is at most M(theta) e^(-theta x), with
+    x = s for the win tail and s - 1 for the loss tail.  ln M sums n logs
+    of q_i + p_i e^theta, each computed within 4u and so logged within 5u
+    of max(1, its log); they share theta's sign, so the exponent is
+    raised by 2^-30 (|ln M| + |theta| x + n).  At n <= MAX_EXACT_N that
+    covers their rounding and that of theta x, of the exponent's
+    additions and of exp, and the two roundings of adding a cut term,
+    times the cuts, to trimmed_mass.
 
-    Certifying.  mu_hat = ps.sum() is within gamma_(n-1) mu of mu (n - 1
-    additions of non-negative terms; a subnormal sum is exact), so mu is
-    within rho_n mu_hat of mu_hat, rho_k = _relative_gamma(k).  rho_(n+4)
-    is 4u more, which covers the roundings of rho and of
-    mu_hat (1 -+ rho): mu_lo <= mu <= mu_hi.  The loss side takes
-    m = n - mu_lo when 2 mu_lo >= n, exact by Sterbenz; the win side
-    takes m = mu_hi when 2 mu_hi <= n, raised to at least 2^-1000, which
-    keeps it an upper bound and s/m finite.  With log faithful (error below one
-    ulp), the computed T1 = s ln(s/m) is within 1.01 u s + 3.01 u T1 of
-    the exact one, and T2 = t ln(t/(n - m)), with |T2| <= t ln 3, within
-    5.4 u t; with the rounding of T1 + T2, the computed f is within
-    8.7 u n + 4.1 u f of f(m), to first order.  So
-    E = fl(fl(f (1 - 16u)) - 16 u n) <= f(m), and the tail is at most
-    exp(-E) <= B = nextafter(exp(-E), inf), with exp faithful; B is at
-    least 2^-1074.
-
-    Why the tree returns the same double.  Every band entry is within
-    gamma_K of the exact mass of its untrimmed outcomes, apart from
-    fewer than (n + _LEAF)^2 underflows of at most 2^-1074 in all (see
-    majority_prob_exact), and gamma_K < 1e-10 at n <= MAX_EXACT_N.
-    - 1.0: E >= 39 puts the loss tail L below e^-39 < 2^-55.  The
-      tree's lower tail sums to at most
-      (1 + u)((1 + gamma_K) 2^-55 + 2^-1000) < 2^-54.  With mu > n/2
-      the tilt is negative, and with no tilt that sum is far below the
-      upper one, so either way the tree returns 1 - fsum(lower), which
-      rounds to 1.0.
-    - 0.0: E >= 746 puts the win tail below e^-746 < 2^-1075, and each
-      computed upper entry below 2^-1000 < _TRIM.  When n > _LEAF the
-      final band comes from a combine, and every entry a combine keeps
-      is at or above _TRIM, whatever the tilt also cuts, so no upper
-      entry is left.  With mu < n/2 the tilt is positive, and with no
-      tilt the empty upper tail is the smaller one, so either way the
-      tree returns fsum([]) = 0.0.  A lone leaf is never trimmed, and
-      its entries may round up from below 2^-1075, so n <= _LEAF, the
-      sizes with one leaf, is left to the tree.
-    """
-    n = len(ps)
-    s, t = (n + 1) // 2, (n - 1) // 2
-    mu = float(ps.sum())
-    rho = _relative_gamma(n + 4)
-    mu_lo = mu * (1.0 - rho)
-    if 2.0 * mu_lo >= n:
-        m, value, nats = n - mu_lo, 1.0, _SURE_NATS
-    else:
-        mu_hi = mu * (1.0 + rho)
-        if 2.0 * mu_hi > n or n <= _LEAF:
-            return None
-        m, value, nats = max(mu_hi, _MEAN_FLOOR), 0.0, _NULL_NATS
-    f = s * math.log(s / m) + (t * math.log(t / (n - m)) if t else 0.0)
-    exponent = f * (1.0 - 16.0 * _U) - 16.0 * _U * n
-    if not exponent >= nats:
-        return None
-    bound = math.nextafter(math.exp(-exponent), math.inf)
-    return TallyEstimate(value=value, method="bound", rounding_bound=bound)
-
-
-def _tilt_term(theta: float, log_m: float, s: int, n: int) -> float:
-    """A bound on what one side's tilt cut takes from theta's tail:
-    tau M(theta) e^(-theta x), with x = s for the win tail (theta >= 0)
-    and s - 1 for the loss tail, so at most tau M(theta) e^(-theta s).
-
-    A side of node A's window cuts exact entries b_k with
+    The cut term.  A side of node A's window cuts exact entries b_k with
     sum_k b_k e^(theta k) <= tau M_A(theta) (`_product_tree`), and each
     outcome k of A reaches the win tail with probability
     P(S_R >= s - k) <= M_R(theta) e^(-theta (s - k)) over the other
     voters R (Chernoff), or the loss tail with
     P(S_R <= s - 1 - k) <= M_R(theta) e^(-theta (s - 1 - k)); and
-    M_A M_R = M.  ln M (`_tilt`) sums n logs of q_i + p_i e^theta, each
-    computed within 4u and so logged within 5u of max(1, its log); they
-    share theta's sign, so the exponent is raised by
-    2^-30 (|ln M| + |theta| x + n).  At n <= MAX_EXACT_N that covers
-    their rounding and that of theta x and of exp, and the two roundings
-    of adding the term, times the cuts, to trimmed_mass.
+    M_A M_R = M.  So each side cut takes at most tau times the bound
+    from theta's tail.
     """
+    s = (n + 1) // 2
     x = s if theta >= 0.0 else s - 1
-    slack = 2.0**-30 * (abs(log_m) + abs(theta) * x + n)
-    return _TAU * math.exp(log_m - theta * x + slack)
+    return log_m - theta * x + 2.0**-30 * (abs(log_m) + abs(theta) * x + n)
+
+
+def _certifies(theta: float, log_m: float, n: int) -> bool:
+    """Whether the Chernoff bound at theta (`_chernoff_nats`) fixes the
+    double the tree would return: 1.0 when theta < 0 and the loss tail L
+    is at most e^-39 < 2^-55, 0.0 when theta >= 0 and the win tail W is
+    at most e^-746 < 2^-1075.  `_tilt` asks at its start, so from
+    _TILT_LEAVES leaves on.
+
+    Why the tree returns the same double.  Every band entry is within
+    gamma_K of the exact mass of its untrimmed outcomes, apart from
+    fewer than (n + _LEAF)^2 underflows of at most 2^-1074 in all (see
+    majority_prob_exact), and gamma_K < 1e-10 at n <= MAX_EXACT_N.
+    - The tree's tilt, where it finds one, has theta's sign.  The tilted
+      mean increases with the tilt, and the tree takes a tilt whose
+      computed tilted mean is within 1/4 of n/2: each p'_i is computed
+      within 2^-45, so the exact one is within 1/4 + 2^-20 of n/2.  As
+      S >= 0, mu = sum p_i >= s (1 - L), so mu <= n/2 + 1/4 + 2^-20
+      would give L >= (1/4 - 2^-20) / s > e^-39 at s <= 100001.  So
+      L <= e^-39 puts mu, the tilted mean at 0, above the tree's, whose
+      tilt is then negative.  Likewise n - mu >= s (1 - W) makes the
+      tree's tilt positive when W <= e^-746.
+    - 1.0: the tree's lower tail sums to at most
+      (1 + u)((1 + gamma_K) 2^-55 + 2^-1000) < 2^-54, whatever the
+      windows cut.  With its negative tilt, and with no tilt, where that
+      sum is far below the upper one, the tree returns 1 - fsum(lower),
+      which rounds to 1.0.
+    - 0.0: each computed upper entry is below 2^-1000 < _TRIM.  From
+      two leaves on the final band comes from a combine, and a combine
+      keeps no end entry below _TRIM, whatever the tilt also cuts; the
+      upper tail is the band's end, so no upper entry is left.  With its
+      positive tilt, and with no tilt, where the empty upper tail is the
+      smaller, the tree returns fsum([]) = 0.0.
+    """
+    nats = _NULL_NATS if theta >= 0.0 else _SURE_NATS
+    return _chernoff_nats(theta, log_m, n) <= -nats
 
 
 def majority_prob_exact(profile: Profile) -> TallyEstimate:
     """Exact P(sum X_i > n/2) for independent X_i ~ Bernoulli(p_i).
 
-    When a Chernoff-Hoeffding bound already fixes the value the product
-    tree would return (1.0 or 0.0), that value comes back with method
-    "bound", trimmed_mass 0 and rounding_bound the certified bound on
-    the tail it leaves out (`_chernoff_certificate`); the tree is not
-    built.  Either way |value - exact| <= rounding_bound + trimmed_mass.
+    From _TILT_LEAVES leaves on, when the Chernoff bound at the tilt's
+    start already fixes the value the product tree would return (1.0 for
+    theta < 0, 0.0 for theta >= 0: `_certifies`), that value comes back
+    with method "bound", trimmed_mass 0 and rounding_bound
+    nextafter(exp(`_chernoff_nats`), inf), at least the tail it leaves
+    out with exp faithful, and at least 2^-1074; the tree is not built.
+    Either way |value - exact| <= rounding_bound + trimmed_mass.
 
     Otherwise a tree of at least _TILT_LEAVES leaves is cut by the tilt
     theta that centres the tilted sum at s - 1/2, s = (n + 1)/2
     (`_tilt`, `_product_tree`), and the value is theta's tail: the win
     tail summed for theta >= 0, else one minus the loss tail.
-    trimmed_mass is the mass the floor cut plus `_tilt_term` for each
-    side a window cut, which bounds what the tilt took from that tail;
-    the other tail is not summed, as the tilt may cut much of it.  With
+    trimmed_mass is the mass the floor cut plus tau exp(`_chernoff_nats`)
+    for each side a window cut, which bounds what the cut took from that
+    tail; the other tail is not summed, as the tilt may cut much of it.  With
     no tilt (fewer leaves, or no theta) only the floor cuts, and the
     smaller tail is summed.
 
@@ -552,15 +531,15 @@ def majority_prob_exact(profile: Profile) -> TallyEstimate:
     """
     n = profile.n
     ps = _checked_probs(profile)
-    certified = _chernoff_certificate(ps)
-    if certified is not None:
-        return certified
     s = (n + 1) // 2
     found = _tilt(ps) if n > (_TILT_LEAVES - 1) * _LEAF else None
     theta, log_m, moments = found or (None, 0.0, None)
+    if theta is not None and moments is None:
+        bound = math.nextafter(math.exp(_chernoff_nats(theta, log_m, n)), math.inf)
+        return TallyEstimate(value=float(theta < 0.0), method="bound", rounding_bound=bound)
     offset, band, trimmed, cuts = _product_tree(ps, moments)
     if cuts:
-        trimmed += cuts * _tilt_term(theta, log_m, s, n)
+        trimmed += cuts * (_TAU * math.exp(_chernoff_nats(theta, log_m, n)))
     split = max(s - offset, 0)
     lower, upper = band[:split], band[split:]
     # fsum one tail, theta's or else the smaller; the other is its complement
@@ -592,8 +571,8 @@ def anti_majority_prob_exact(profile: Profile) -> TallyEstimate:
 
     Its method and bounds are those of the mirrored profile, whose
     competences are the floats nearest 1 - p_i: "bound" with value 0.0
-    or 1.0 when the Chernoff-Hoeffding certificate fixes that profile's
-    tally, else "exact_dp".
+    or 1.0 when the Chernoff bound at the tilt's start fixes that
+    profile's tally (from six leaves on), else "exact_dp".
     """
     ps = _checked_probs(profile)
     flipped = Profile(1.0 - ps, profile.source, profile.seed)
@@ -869,6 +848,9 @@ def proposition41_bound(profile: Profile, weights: np.ndarray | list[float]) -> 
     probability of the weighted rule; requires positive drift."""
     ps = profile.competences
     w = _checked_weights(profile, weights)
+    # the bound is the same for every scaling of w, and a power of two that
+    # brings max |w| into [1/2, 1) is exact and keeps w * w and the sums finite
+    w = np.ldexp(w, -math.frexp(float(np.max(np.abs(w))))[1])
     drift = float(np.sum(w * (2.0 * ps - 1.0)))
     if drift <= 0.0:
         raise ValueError("nonpositive drift: the bound is not applicable")

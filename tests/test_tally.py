@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
 from types import SimpleNamespace
 from unittest import mock
 
@@ -102,8 +103,10 @@ def reference_tree_pmf(ps) -> tuple[int, np.ndarray, float]:
 def tree_estimate(tally_fn, profile):
     """`tally_fn` (majority or anti-majority) with the Chernoff certificate
     off: the product tree's estimate."""
-    with mock.patch.object(tally, "_chernoff_certificate", return_value=None):
-        return tally_fn(profile)
+    with mock.patch.object(tally, "_certifies", return_value=False):
+        est = tally_fn(profile)
+    assert est.method == "exact_dp"
+    return est
 
 
 def exact_majority(ps) -> Fraction:
@@ -402,13 +405,11 @@ class TestRoundingBound:
                 (anti_majority_prob_exact, exact_majority(1.0 - ps)),
             ):
                 est = tally_fn(explicit(ps))
-                assert est.method in ("bound", "exact_dp")
+                # below six leaves the tree answers: no certificate
+                assert est.method == "exact_dp"
                 assert 0.0 < est.rounding_bound < 1e-13
                 err = abs(Fraction(est.value) - exact)
                 assert err <= Fraction(est.rounding_bound) + Fraction(est.trimmed_mass), ps
-                if est.method == "bound":
-                    assert est.value in (0.0, 1.0) and est.trimmed_mass == 0.0
-                    assert est.value == tree_estimate(tally_fn, explicit(ps)).value
 
     def test_covers_the_band_mass_at_n_10001(self):
         # every p = 0.99: the band's mass is 1 - 5.5e-14, which the value
@@ -429,7 +430,7 @@ def certificate_edge(n: int, lo: float, hi: float) -> tuple[float, float]:
 
     def fires(bits: int) -> bool:
         p = float(np.int64(bits).view(np.float64))
-        return tally._chernoff_certificate(np.full(n, p)) is not None
+        return majority_prob_exact(explicit(np.full(n, p))).method == "bound"
 
     a, b = np.array([lo, hi]).view(np.int64).tolist()
     at_a = fires(a)
@@ -441,28 +442,89 @@ def certificate_edge(n: int, lo: float, hi: float) -> tuple[float, float]:
     return tuple(np.array([a, b]).view(np.float64).tolist())
 
 
+def binomial_nats(n: int, p: float, x: int) -> float:
+    """ln M(theta) - theta x for n voters of competence p at
+    theta = ln(q/p), the tilt that centres their sum at n/2, where
+    M(theta) = (2q)^n: n ln 2 + (n - x) ln q + x ln p."""
+    return n * math.log(2.0) + (n - x) * math.log1p(-p) + x * math.log(p)
+
+
+def binomial_slack(n: int, p: float, x: int) -> float:
+    """The certificate's allowance for rounding at that tilt:
+    2^-30 (|ln M| + |theta| x + n)."""
+    log_m = n * math.log(2.0 * (1.0 - p))
+    return 2.0**-30 * (abs(log_m) + abs(math.log((1.0 - p) / p)) * x + n)
+
+
 def chernoff_exponent(n: int, m: float) -> float:
-    """f(m) = s ln(s/m) + t ln(t/(n - m)): the certificate's exponent for a
-    tail P(Y >= s) whose mean is m."""
+    """f(m) = s ln(s/m) + t ln(t/(n - m)): Hoeffding's exponent (1963,
+    Thm 1) for a tail P(Y >= s) of n voters whose mean is m."""
     s, t = (n + 1) // 2, (n - 1) // 2
     return s * math.log(s / m) + (t * math.log(t / (n - m)) if t else 0.0)
+
+
+def hoeffding_value(ps) -> float | None:
+    """The value a Chernoff-Hoeffding rule from mu = sum p alone fixes,
+    or None: 1.0 when f(n - mu) >= 39, 0.0 when f(mu) >= 746 and the tree
+    has a combine, with mu widened by its rounding and f lowered by its
+    own, as the tally certified before it used the tilt's exact CGF."""
+    n = len(ps)
+    mu = float(np.sum(ps))
+    rho = tally._relative_gamma(n + 4)
+    mu_lo = mu * (1.0 - rho)
+    if 2.0 * mu_lo >= n:
+        m, value, nats = n - mu_lo, 1.0, 39.0
+    else:
+        mu_hi = mu * (1.0 + rho)
+        if 2.0 * mu_hi > n or n <= tally._LEAF:
+            return None
+        m, value, nats = max(mu_hi, 2.0**-1000), 0.0, 746.0
+    exponent = chernoff_exponent(n, m) * (1.0 - 2.0**-49) - 2.0**-49 * n
+    return value if exponent >= nats else None
+
+
+def hoeffding_margin(n: int, nats: float, lo: float, hi: float) -> float:
+    """A competence p in [lo, hi] at which n equal voters' Hoeffding
+    exponent is `nats`: for the loss tail (mean n q) when lo >= 1/2, else
+    for the win tail (mean n p)."""
+    sure = lo >= 0.5
+    for _ in range(200):
+        p = 0.5 * (lo + hi)
+        f = chernoff_exponent(n, n * (1.0 - p) if sure else n * p)
+        # f grows with p for the loss tail and falls with it for the win tail
+        lo, hi = (p, hi) if (f < nats) == sure else (lo, p)
+    return lo
+
+
+def exact_binomial_majority(n: int, p: float) -> Fraction:
+    """Oracle: P(Bin(n, p) > n/2) in exact rational arithmetic, p taken
+    as its float's exact value."""
+    p = Fraction(float(p))
+    q = 1 - p
+    return sum(
+        (math.comb(n, k) * p**k * q ** (n - k) for k in range((n + 1) // 2, n + 1)), Fraction(0)
+    )
+
+
+def certificate_families(rng, n: int):
+    """The profiles the certificate is checked on, at n voters."""
+    extremes = np.array([0.0, 1.0, 1e-200, 1.0 - 2.0**-53])
+    return (
+        rng.random(n),
+        rng.choice(extremes, n),
+        np.where(rng.random(n) < 0.5, rng.random(n), rng.choice(extremes, n)),
+        np.full(n, extremes[n % 4]),
+        rng.uniform(0.9, 1.0, n),
+        rng.uniform(0.0, 1e-30, n),
+    )
 
 
 class TestChernoffCertificate:
     def test_never_disagrees_with_the_tree(self):
         rng = np.random.default_rng(1717)
-        extremes = np.array([0.0, 1.0, 1e-200, 1.0 - 2.0**-53])
         seen = set()
         for n in (*range(1, 100, 2), 101, 129, 1001, 4001):
-            profiles = (
-                rng.random(n),
-                rng.choice(extremes, n),
-                np.where(rng.random(n) < 0.5, rng.random(n), rng.choice(extremes, n)),
-                np.full(n, extremes[n % 4]),
-                rng.uniform(0.9, 1.0, n),
-                rng.uniform(0.0, 1e-30, n),
-            )
-            for ps in profiles:
+            for ps in certificate_families(rng, n):
                 for tally_fn in (majority_prob_exact, anti_majority_prob_exact):
                     est = tally_fn(explicit(ps))
                     tree = tree_estimate(tally_fn, explicit(ps))
@@ -473,6 +535,32 @@ class TestChernoffCertificate:
                         assert 2.0**-1074 <= est.rounding_bound < 2.0**-55
                     else:
                         assert est == tree
+        assert seen == {0.0, 1.0}
+
+    @pytest.mark.parametrize("n", (641, 1001, 4001, 20_001))
+    def test_no_certificate_is_lost_in_the_tilted_range(self, n):
+        # from six leaves on, wherever sum p q > 0, every profile that the
+        # mean-only Hoeffding rule certifies the exact CGF certifies too,
+        # with the same value; constant profiles half a nat past each of
+        # Hoeffding's margins show that no nat is lost there either
+        rng = np.random.default_rng(1719 + n)
+        profiles = (
+            *certificate_families(rng, n),
+            np.full(n, hoeffding_margin(n, 39.5, 0.5, 1.0)),
+            np.full(n, hoeffding_margin(n, 746.5, 0.0, 0.5)),
+        )
+        seen = set()
+        for ps in profiles:
+            # the anti-majority tally is the majority tally of 1 - ps
+            for tally_fn, mirrored in (
+                (majority_prob_exact, ps),
+                (anti_majority_prob_exact, 1.0 - ps),
+            ):
+                value = hoeffding_value(mirrored)
+                if value is not None and np.sum(mirrored * (1.0 - mirrored)) > 0.0:
+                    seen.add(value)
+                    est = tally_fn(explicit(ps))
+                    assert (est.method, est.value) == ("bound", value), (n, ps)
         assert seen == {0.0, 1.0}
 
     @pytest.mark.parametrize("n", (5001, 10_001, 20_001))
@@ -491,31 +579,46 @@ class TestChernoffCertificate:
     @pytest.mark.parametrize("n", (1001, 5001, 10_001, 20_001))
     def test_declines_on_the_null(self, n):
         for seed in range(5):
-            ps = generate(IidSource(lebesgue()), n, seed=seed).competences
-            assert tally._chernoff_certificate(ps) is None
-            assert tally._chernoff_certificate(1.0 - ps) is None
+            prof = generate(IidSource(lebesgue()), n, seed=seed)
+            assert majority_prob_exact(prof).method == "exact_dp"
+            assert anti_majority_prob_exact(prof).method == "exact_dp"
 
     @pytest.mark.parametrize("n", (3, 101, 1001, 20_001))
     def test_either_side_of_the_sure_margin(self, n):
-        below, above = certificate_edge(n, 0.5, 1.0)
-        # the switch sits where the exponent crosses 39 nats, moved only by
-        # the widening of mu (about rho n) and the allowance for rounding
-        widen = 2.0 * tally._relative_gamma(n + 4) * n
-        assert 39.0 < chernoff_exponent(n, n * (1.0 - above))
-        assert chernoff_exponent(n, n * (1.0 - below) + widen) < 39.0 + 1e-9
+        t = (n - 1) // 2
+        if n <= 5 * tally._LEAF:
+            # no tilt below six leaves, so no certificate, even far past
+            # the margin: the tree returns the double a certificate would
+            p = 1.0 - 2.0**-53
+            assert binomial_nats(n, p, t) < -39.0
+            est = majority_prob_exact(explicit(np.full(n, p)))
+            assert (est.method, est.value) == ("exact_dp", 1.0)
+            return
+        # at p = 1 - 2^-53 the sum of p rounds to n: no tilt, so no certificate
+        below, above = certificate_edge(n, 0.5, 0.999)
+        # the switch sits where the exact CGF's exponent at the start tilt
+        # ln(q/p) crosses -39 nats, moved only by the allowance for rounding
+        assert binomial_nats(n, above, t) + binomial_slack(n, above, t) <= -39.0 + 1e-9
+        assert binomial_nats(n, below, t) + binomial_slack(n, below, t) > -39.0 - 1e-9
         for p, method in ((below, "exact_dp"), (above, "bound")):
             prof = explicit(np.full(n, p))
             est = majority_prob_exact(prof)
             assert est.method == method
             assert est.value == tree_estimate(majority_prob_exact, prof).value == 1.0
 
-    # above one leaf (n <= _LEAF is left to the tree): 64- and 128-voter leaves
     @pytest.mark.parametrize("n", (tally._LEAF + 1, 2 * tally._LEAF + 1, 1001))
     def test_either_side_of_the_null_margin(self, n):
+        s = (n + 1) // 2
+        if n <= 5 * tally._LEAF:
+            # 64- and 128-voter leaves below six of them: the tree decides
+            p = 1e-300
+            assert binomial_nats(n, p, s) < -746.0
+            est = majority_prob_exact(explicit(np.full(n, p)))
+            assert (est.method, est.value) == ("exact_dp", 0.0)
+            return
         inside, outside = certificate_edge(n, 1e-300, 0.5)
-        widen = 1.0 + 2.0 * tally._relative_gamma(n + 4)
-        assert 746.0 < chernoff_exponent(n, n * inside)
-        assert chernoff_exponent(n, n * outside * widen) < 746.0 + 1e-9
+        assert binomial_nats(n, inside, s) + binomial_slack(n, inside, s) <= -746.0 + 1e-9
+        assert binomial_nats(n, outside, s) + binomial_slack(n, outside, s) > -746.0 - 1e-9
         for p, method in ((inside, "bound"), (outside, "exact_dp")):
             prof = explicit(np.full(n, p))
             est = majority_prob_exact(prof)
@@ -523,18 +626,22 @@ class TestChernoffCertificate:
             assert est.value == tree_estimate(majority_prob_exact, prof).value == 0.0
 
     def test_a_lone_leaf_is_left_to_the_tree(self):
-        # below 2^-1075 but no combine trims the leaf: the tree decides
-        prof = explicit(np.full(tally._LEAF - 1, 1e-200))
-        assert majority_prob_exact(prof).method == "exact_dp"
-        assert majority_prob_exact(explicit(np.full(tally._LEAF + 1, 1e-200))).method == "bound"
+        # below 2^-1075, but below six leaves there is no tilt and so no
+        # certificate, a lone leaf (which no combine trims) included
+        for n, method in (
+            (tally._LEAF - 1, "exact_dp"),
+            (5 * tally._LEAF - 1, "exact_dp"),
+            (5 * tally._LEAF + 1, "bound"),
+        ):
+            assert majority_prob_exact(explicit(np.full(n, 1e-200))).method == method
 
-    def test_covers_the_fraction_oracle_at_n_129(self):
-        # a loss tail near 6e-31 and a win tail near 2^-2035, both nonzero
+    def test_covers_the_fraction_oracle_at_n_641(self):
+        # a loss tail near 1e-142 and a win tail near 1e-3017, both nonzero
+        n = 5 * tally._LEAF + 1
         for p, value in ((0.9, 1.0), (1e-10, 0.0)):
-            ps = np.full(129, p)
-            est = majority_prob_exact(explicit(ps))
+            est = majority_prob_exact(explicit(np.full(n, p)))
             assert (est.method, est.value) == ("bound", value)
-            err = abs(Fraction(est.value) - exact_majority(ps))
+            err = abs(Fraction(est.value) - exact_binomial_majority(n, p))
             assert 0 < err <= Fraction(est.rounding_bound)
 
     def test_lower_tail_sum_is_order_free(self):
@@ -782,19 +889,22 @@ class TestWeightedMajority:
         assert brute.value == weighted_majority_prob(explicit(ps[:31]), w[:31] / 1e300).value
 
     def test_mc_covers_brute_truth(self):
+        # every estimate is the eager oracle's, and within z standard
+        # errors of the brute-force truth, z for a family error of 1e-3
+        # over the 100 tallies (Bonferroni)
         rng = np.random.default_rng(123)
-        covered = 0
-        for trial in range(100):
+        replicas, trials = 10_000, 100
+        z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * trials))
+        for trial in range(trials):
             ps = rng.uniform(0.05, 0.95, 15)
             w = rng.uniform(0.2, 3.0, 15)
             prof = explicit(ps)
             truth = weighted_majority_prob(prof, w, mode="brute").value
-            est = weighted_majority_prob(prof, w, mode="mc", replicas=10_000, seed=trial)
+            est = weighted_majority_prob(prof, w, mode="mc", replicas=replicas, seed=trial)
             assert est.method == "monte_carlo"
-            assert est.n_replicas == 10_000
-            if abs(est.value - truth) <= est.half_width:
-                covered += 1
-        assert covered >= 93
+            assert est.n_replicas == replicas
+            assert est.value == reference_mc_value(ps, w, replicas, trial)
+            assert abs(est.value - truth) <= z * math.sqrt(truth * (1.0 - truth) / replicas)
 
     def test_mc_deterministic_given_seed(self):
         prof = explicit(SG)
@@ -1174,6 +1284,15 @@ class TestProposition41Bound:
             proposition41_bound(explicit([0.8, 0.7, 0.6]), [bad, 1.0, 1.0])
         with pytest.raises(ValueError, match="weights"):
             proposition41_bound(explicit([0.8, 0.7, 0.6]), [1.0, 1.0])
+
+    @pytest.mark.parametrize("scale", (1e200, 1e307))
+    def test_huge_weights(self, scale):
+        # w * w overflows past about 1.3e154, but the bound does not
+        # change when every weight is scaled
+        unit = proposition41_bound(explicit([0.9] * 33), [1.0] * 33)
+        assert unit == pytest.approx(0.017045454545454537, rel=1e-15)
+        value = proposition41_bound(explicit([0.9] * 33), [scale] * 33)
+        assert value == pytest.approx(unit, rel=1e-15)
 
     def test_nonpositive_drift_not_applicable(self):
         with pytest.raises(ValueError, match="drift"):

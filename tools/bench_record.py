@@ -16,7 +16,8 @@ The file also names the host and its CPU (model name, family, model,
 stepping and the avx512f flag), whether Python writes bytecode there
 (`dont_write_bytecode`: if not, every `setup_s` run compiles jurylab's
 sources afresh), Python, numpy, scipy and each side's git commit and
-source digest.  Nothing under `bench/` is changed;
+source digest, and one Tier-1 run per side (`tier1`): its wall seconds
+and its passed and failed counts.  Nothing under `bench/` is changed;
 traced runs write their spans to each checkout's `bench/out/`, as they
 always do.
 """
@@ -28,6 +29,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -38,6 +40,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = tuple(range(9001, 9011))
+# the Tier-1 command; no cache is written into either checkout
+TIER1 = (sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors")
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -60,6 +65,22 @@ def traced_layers(checkout: Path, workload: str, seed: int) -> dict[str, float]:
             rows[f"tally.exact_ms.{name.rsplit('.', 1)[1]}"] = 1e3 * t["total_s"] / t["calls"]
     exact = dict(sorted(rows.items(), key=lambda kv: int(kv[0].rsplit(".n", 1)[1])))
     return trace["per_layer"] | exact
+
+
+def tier1(checkout: Path) -> dict:
+    """One Tier-1 run in `checkout`, with its `src/` first on the path:
+    wall seconds and the counts of pytest's summary line, errors counted
+    as failed.  A run with failures is recorded, not raised: the
+    criterion-11 check fails by design."""
+    path = os.pathsep.join(filter(None, [str(checkout / "src"), os.environ.get("PYTHONPATH")]))
+    began = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=checkout, capture_output=True, text=True,
+                          env=os.environ | {"PYTHONPATH": path})
+    wall = time.perf_counter() - began
+    summary = (proc.stdout.strip().splitlines() or [""])[-1]
+    counts = {word: int(num) for num, word in re.findall(r"(\d+) (\w+)", summary)}
+    failed = counts.get("failed", 0) + counts.get("error", 0) + counts.get("errors", 0)
+    return {"wall_s": wall, "passed": counts.get("passed", 0), "failed": failed}
 
 
 def provenance(checkout: Path) -> dict:
@@ -147,6 +168,10 @@ def main(argv=None) -> int:
         for side in sides:
             bench(sides[side], w, SEEDS[0], seconds, 1)
             traced[side][w] = traced_layers(sides[side], w, SEEDS[0])
+    tests = {}
+    for side in sides:
+        tests[side] = tier1(sides[side])
+        print(f"bench_record: Tier-1 on {side}: {tests[side]}", file=sys.stderr)
 
     doc = {
         "started_utc": started,
@@ -172,6 +197,7 @@ def main(argv=None) -> int:
             **provenance(checkout),
             "end_to_end": {w: summarise(runs[side][w]) for w in workloads},
             "traced": traced[side],
+            "tier1": tests[side],
         }
     if args.parent:
         sign = {m["name"]: 1 if m["better"] == "lower" else -1 for m in declared["end_to_end"]}
