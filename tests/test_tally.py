@@ -541,8 +541,8 @@ class TestChernoffCertificate:
     def test_no_certificate_is_lost_in_the_tilted_range(self, n):
         # from six leaves on, wherever sum p q > 0, every profile that the
         # mean-only Hoeffding rule certifies the exact CGF certifies too,
-        # with the same value; constant profiles half a nat past each of
-        # Hoeffding's margins show that no nat is lost there either
+        # with the same value; constant profiles half a nat inside each of
+        # Hoeffding's margins check the certificate's thresholds themselves
         rng = np.random.default_rng(1719 + n)
         profiles = (
             *certificate_families(rng, n),
@@ -594,7 +594,8 @@ class TestChernoffCertificate:
             est = majority_prob_exact(explicit(np.full(n, p)))
             assert (est.method, est.value) == ("exact_dp", 1.0)
             return
-        # at p = 1 - 2^-53 the sum of p rounds to n: no tilt, so no certificate
+        # at p = 1 - 2^-53, n - fl(sum p) is twice the exact gap, which
+        # misplaces the start tilt: no tilt is found, so no certificate
         below, above = certificate_edge(n, 0.5, 0.999)
         # the switch sits where the exact CGF's exponent at the start tilt
         # ln(q/p) crosses -39 nats, moved only by the allowance for rounding
