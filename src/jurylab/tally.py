@@ -303,26 +303,27 @@ def _tilt(ps: np.ndarray) -> tuple[float, float, list[tuple[float, float, int]] 
     Newton's method on the tilted mean, whose slope is the tilted
     variance.  It starts from log((n - mu) / mu), the tilt of n voters of
     competence mu / n, scaled by the ratio of their variance to
-    sum p_i q_i, the slope at theta = 0.  Each step is one pass over the
-    voters into the same buffers, since fresh arrays cost more in page
-    faults than in arithmetic.  A step that would leave the bracket the
-    earlier steps set bisects it instead.  A profile whose voters all
-    have p in {0, 1}, or whose certain voters reach n/2 on their own,
-    has no such theta.
+    sum p_i q_i, the slope at theta = 0; n - mu is summed as sum q_i,
+    since n - fl(mu) loses the gap when it is a few ulps of n.  Each step
+    is one pass over the voters into the same buffers, since fresh arrays
+    cost more in page faults than in arithmetic.  A step that would leave
+    the bracket the earlier steps set bisects it instead.  A profile
+    whose voters all have p in {0, 1}, or whose certain voters reach n/2
+    on their own, has no such theta.
     """
     n = len(ps)
-    mu = float(ps.sum())
     q = 1.0 - ps
+    mu, rest = float(ps.sum()), float(q.sum())
     denom = np.empty(n)
     var = float(np.multiply(ps, q, out=denom).sum())
-    if not (0.0 < mu < n and var > 0.0):
+    if not var > 0.0:  # so some 0 < p_i < 1, and mu, rest > 0
         return None
     leaf = _leaf_size(n)
     # p' of the voters, padded with the p' = 0 of each leaf's padding
     pad = np.zeros((leaf, -(-n // leaf)))
     tilted = pad.reshape(-1)[:n]
     lo, hi = -_MAX_TILT, _MAX_TILT
-    theta = math.log((n - mu) / mu) * (mu * (n - mu) / n) / var
+    theta = math.log(rest / mu) * (mu * rest / n) / var
     for step in range(_NEWTON_STEPS):
         if not lo < theta < hi:
             theta = 0.5 * (lo + hi)

@@ -9,8 +9,9 @@ Every scheme carries its registry `kind`, a `stochastic` flag and
 `weight(p)`, its deterministic weight over a float array of any shape;
 `SCHEMES` maps each kind to its class.
 
-The analytic side evaluates the truncated-normal conditional mean, the
-sharpness factor f(x, p) with x = (W-1)/sigma, the moment criterion
+The analytic side evaluates the truncated normal's mean and quantile,
+both from one scaled form of its mass that needs only `scipy.special`,
+the sharpness factor f(x, p) with x = (W-1)/sigma, the moment criterion
 2 m^{k+1} - m^k that certifies a usable exponent k, and the per-voter
 drift of the weighted tally under a competence measure.
 """
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2_PI = math.sqrt(2.0 / math.pi)
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -169,64 +170,65 @@ def deterministic_weight(scheme: WeightScheme, p: np.ndarray | float) -> np.ndar
     return out if np.ndim(p) else float(out)
 
 
-def _std_truncnorm_mean(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Mean of a standard normal conditioned to (alpha, beta).
-
-    Stable for |alpha|, |beta| well past 38: same-tail intervals go
-    through scaled erfcx so the common exp(-alpha^2/2) factor cancels
-    instead of underflowing; near-degenerate intervals collapse to the
-    midpoint.  Never returns NaN for alpha < beta.
+def _mirrored_masses(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(flip, a, b, d, lower, upper): (a, b) is (alpha, beta), or
+    (-beta, -alpha) where flip, so that a + b <= 0; d = (b - a)(a + b)/2;
+    lower = Phi(a)/phi(b) = R(a) e^d and upper = Phi(b)/phi(b) = R(b), with
+    R(x) = sqrt(pi/2) erfcx(-x/sqrt 2).  The scaled mass upper - lower does
+    not underflow and cancels only on narrow intervals (Botev 2017).  upper
+    is inf past b = 37.7; (-inf, inf) keeps flip False and takes d = 0.
     """
     # imported here: scipy.special takes most of `import jurylab`'s time
     from scipy import special
 
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
     with np.errstate(invalid="ignore"):
-        flip = alpha + beta > 0.0  # NaN midpoint (two-sided infinite) stays unflipped
-    a = np.where(flip, -beta, alpha)
-    b = np.where(flip, -alpha, beta)
-    # now a + b <= 0 and a <= 0; only the far left tail needs rescaling
-    narrow = np.isfinite(a) & np.isfinite(b) & (b - a < 1e-7)
-    left_tail = ~narrow & (b < -5.0)
-    mild = ~(narrow | left_tail)
+        flip = alpha + beta > 0.0
+        a = np.where(flip, -beta, alpha)
+        b = np.where(flip, -alpha, beta)
+        d = np.fmin(0.5 * (b - a) * (a + b), 0.0)  # fmin takes (-inf, inf)'s NaN to 0
+    upper = _SQRT_HALF_PI * special.erfcx(-b / _SQRT2)
+    return flip, a, b, d, _SQRT_HALF_PI * special.erfcx(-a / _SQRT2) * np.exp(d), upper
 
-    out = np.empty(np.broadcast(a, b).shape, dtype=float)
 
-    if np.any(mild):
-        am = np.where(mild, a, -1.0)
-        bm = np.where(mild, b, 1.0)
-        num = _phi(am) - _phi(bm)
-        den = special.ndtr(bm) - special.ndtr(am)
-        out[mild] = (num / np.maximum(den, 1e-300))[mild]
+def _std_truncnorm_mean(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Mean of a standard normal conditioned to (alpha, beta).
 
-    if np.any(left_tail):
-        # mirror to the right tail: mean(a, b) = -mean(-b, -a)
-        lo = np.where(left_tail, -b, 6.0)
-        hi = np.where(left_tail, -a, 7.0)
-        finite_hi = np.isfinite(hi)
-        delta = np.where(finite_hi, 0.5 * (hi - lo) * (hi + lo), np.inf)
-        damp = np.exp(-delta)
-        num = 1.0 - damp
-        den = special.erfcx(lo / _SQRT2) - damp * special.erfcx(
-            np.where(finite_hi, hi, 0.0) / _SQRT2
-        )
-        out[left_tail] = (-_SQRT_2_PI * num / den)[left_tail]
-
-    if np.any(narrow):
-        out[narrow] = (0.5 * (a + b))[narrow]
+    (phi(a) - phi(b))/Z = expm1(d)/(upper - lower) on `_mirrored_masses`'
+    interval.  Where its width h times max(1, |m|), m the midpoint, is
+    below 0.02, that cancels to about eps/0.02, so the series
+    m (1 - h^2/12 + (m^2 + 2) h^4/720) is taken, off by under 0.02^6/5040
+    of m.  Never NaN for alpha < beta.
+    """
+    flip, a, b, d, lower, upper = _mirrored_masses(alpha, beta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m, h2 = 0.5 * (a + b), (b - a) ** 2
+        series = m * (1.0 - h2 / 12.0 + h2 * h2 * (m * m + 2.0) / 720.0)
+        out = np.where(h2 * np.fmax(1.0, m * m) < 0.02**2, series, np.expm1(d) / (upper - lower))
     return np.where(flip, -out, out)
 
 
-def _phi(z: np.ndarray) -> np.ndarray:
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+def _std_truncnorm_ppf(u: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Quantile at u of a standard normal conditioned to (alpha, beta).
+
+    On `_mirrored_masses`' interval the quantile is v = u, or 1 - u where
+    flip: Phi(x)/Phi(b) = r + v (1 - r), r = lower/upper, is logged as it
+    is below 1/2, and as log1p(-c (1 - r)) above, with c = 1 - v formed
+    from u, whose low bits 1 - u loses.  x = ndtri_exp(log_ndtr(b) + log).
+    """
+    from scipy import special
+
+    flip, a, b, _, lower, upper = _mirrored_masses(alpha, beta)
+    v, c, r = np.where(flip, 1.0 - u, u), np.where(flip, u, 1.0 - u), lower / upper
+    below = r + v * (1.0 - r)
+    with np.errstate(divide="ignore"):
+        log_ratio = np.where(below < 0.5, np.log(below), np.log1p(-c * (1.0 - r)))
+    x = np.clip(special.ndtri_exp(special.log_ndtr(b) + log_ratio), a, b)
+    return np.where(flip, -x, x)
 
 
 def truncated_normal_mean(spec: TruncatedGaussianSpec) -> float:
     """sigma * (phi(alpha) - phi(beta)) / (Phi(beta) - Phi(alpha))."""
-    alpha = spec.a / spec.sigma
-    beta = spec.b / spec.sigma
-    return float(spec.sigma * _std_truncnorm_mean(np.asarray(alpha), np.asarray(beta)))
+    return float(spec.sigma * _std_truncnorm_mean(spec.a / spec.sigma, spec.b / spec.sigma))
 
 
 def f_function(x: float, p: np.ndarray | float) -> np.ndarray | float:
@@ -257,19 +259,15 @@ def sample_weight(
     p: np.ndarray | float,
     rng: np.random.Generator,
 ) -> np.ndarray | float:
-    """Draw w = w_d(p) + error by inverse CDF, one weight per entry of p;
-    always lands in [1, W]."""
+    """Draw w = w_d(p) + error, one weight per entry of p, by inverting
+    rng.random's u with `_std_truncnorm_ppf`; always lands in [1, W]."""
     if not isinstance(scheme, StochasticPoly):
         raise TypeError("sample_weight needs a stochastic scheme")
     arr = np.asarray(p, dtype=float)
     wd = scheme.weight(arr)
     alpha = (1.0 - wd) / scheme.sigma_w
     beta = (scheme.W - wd) / scheme.sigma_w
-    u = rng.random(arr.shape)
-    # imported here: scipy.stats takes most of `import jurylab`'s time
-    from scipy import stats
-
-    eps = scheme.sigma_w * stats.truncnorm.ppf(u, alpha, beta)
+    eps = scheme.sigma_w * _std_truncnorm_ppf(rng.random(arr.shape), alpha, beta)
     w = np.clip(wd + eps, 1.0, scheme.W)
     return w if np.ndim(p) else float(w)
 

@@ -279,7 +279,7 @@ RUN_PINS = {
     "stochastic_monte_carlo": (
         dict(measure=affine(1.0), scheme=StochasticPoly(W=10.0, k=2, sigma_w=2.0),
              n_grid=(33, 101), profiles_per_n=10, replicas=200),
-        "996adb581d6d0a18",
+        "343098a00df608d1",
     ),
     "atoms_at_0_and_1": (
         dict(measure=MeasureSpec(atoms=((0.0, 0.4), (1.0, 0.6))), scheme=UnitWeights(),

@@ -594,8 +594,6 @@ class TestChernoffCertificate:
             est = majority_prob_exact(explicit(np.full(n, p)))
             assert (est.method, est.value) == ("exact_dp", 1.0)
             return
-        # at p = 1 - 2^-53, n - fl(sum p) is twice the exact gap, which
-        # misplaces the start tilt: no tilt is found, so no certificate
         below, above = certificate_edge(n, 0.5, 0.999)
         # the switch sits where the exact CGF's exponent at the start tilt
         # ln(q/p) crosses -39 nats, moved only by the allowance for rounding
@@ -625,6 +623,14 @@ class TestChernoffCertificate:
             est = majority_prob_exact(prof)
             assert est.method == method
             assert est.value == tree_estimate(majority_prob_exact, prof).value == 0.0
+
+    def test_near_unanimous_start_tilt(self):
+        # at p = 1 - 2^-53, n - fl(sum p) is twice the gap sum q; the start
+        # tilt takes the gap from sum q, so both tails are still certified
+        prof = explicit(np.full(1001, 1.0 - 2.0**-53))
+        for tally_fn, value in ((majority_prob_exact, 1.0), (anti_majority_prob_exact, 0.0)):
+            est = tally_fn(prof)
+            assert (est.method, est.value) == ("bound", value)
 
     def test_a_lone_leaf_is_left_to_the_tree(self):
         # below 2^-1075, but below six leaves there is no tilt and so no

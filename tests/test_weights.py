@@ -284,7 +284,7 @@ class TestDrift:
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is most of the import time; only sample_weight loads it
+    # scipy.stats is most of scipy's import time; jurylab never loads it
     code = "import sys, jurylab; print('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(jurylab.__file__).parents[1])}
     out = subprocess.run(
@@ -293,14 +293,14 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.stdout.strip() == "False"
 
 
-# float.hex values recorded while `scipy.special` was still imported at
-# module level; the deferred import must not change a bit of them
+# float.hex values of the scaled-mass mean, pinned bit for bit; the keys
+# name the kind of interval
 STD_PINNED = {
-    "mild": (-2.0, 0.5, "-0x1.c8710e984dbfap-2"),
-    "left_tail_finite": (-40.0, -38.5, "-0x1.34351f8ea56c2p+5"),
+    "mild": (-2.0, 0.5, "-0x1.c8710e984dbfcp-2"),
+    "left_tail_finite": (-40.0, -38.5, "-0x1.34351f8ea56c3p+5"),
     "left_tail_infinite": (-math.inf, -12.0, "-0x1.82a17f9f3f832p+3"),
     "narrow": (-0.3 - 1e-9, -0.3, "-0x1.3333333bca392p-2"),
-    "flipped": (1.0, 4.0, "0x1.864bedf372428p+0"),
+    "flipped": (1.0, 4.0, "0x1.864bedf372429p+0"),
     "flipped_tail": (20.0, math.inf, "0x1.40cbc9dfa33e9p+4"),
 }
 MIXED = MeasureSpec(pieces=((0.2, 0.8, 1.0, 0.0),), atoms=((0.0, 0.1), (0.9, 0.3)))
@@ -325,8 +325,8 @@ class TestPinnedTruncatedNormal:
     @pytest.mark.parametrize(
         "spec, pinned",
         [
-            (TruncatedGaussianSpec(1.0, -1.0, 2.0), "0x1.d64c047124c48p-3"),
-            (TruncatedGaussianSpec(2.5, 0.5, 30.0), "0x1.2969bf0be3d23p+1"),
+            (TruncatedGaussianSpec(1.0, -1.0, 2.0), "0x1.d64c047124c4bp-3"),
+            (TruncatedGaussianSpec(2.5, 0.5, 30.0), "0x1.2969bf0be3d22p+1"),
             (TruncatedGaussianSpec(0.01, -1.0, -0.9), "-0x1.ccdb5c26756f2p-1"),
         ],
     )
@@ -337,9 +337,9 @@ class TestPinnedTruncatedNormal:
         out = f_function(50.0, np.array([0.0, 0.1, 0.5, 0.9, 1.0]))
         assert [float(v).hex() for v in out] == [
             "0x1.0573687920e48p-6",
-            "0x1.fed544dbfc457p-26",
+            "0x1.fed544dbfc466p-26",
             "0x0.0p+0",
-            "-0x1.fed544dbfc477p-26",
+            "-0x1.fed544dbfc485p-26",
             "-0x1.0573687920e48p-6",
         ]
 
@@ -357,8 +357,8 @@ def _fresh_python(code: str) -> str:
 
 
 def test_import_and_scipy_free_commands_leave_scipy_unloaded(tmp_path):
-    # only the truncated-normal mean (scipy.special) and sample_weight
-    # (scipy.stats) load scipy, at their first call
+    # only the truncated-normal mean and quantile load scipy, and then
+    # scipy.special alone, at their first call
     p, q = tmp_path / "p.json", tmp_path / "q.json"
     p.write_text(to_json(lebesgue()))
     q.write_text(to_json(DOWN))
@@ -381,7 +381,7 @@ print(scipy_modules())
 
 
 def test_first_drift_after_fresh_import_is_pinned():
-    # the first call takes the deferred-import path inside _std_truncnorm_mean
+    # the first call takes the deferred-import path inside _mirrored_masses
     code = (
         "import sys, jurylab\n"
         "assert 'scipy.special' not in sys.modules\n"
@@ -390,3 +390,117 @@ def test_first_drift_after_fresh_import_is_pinned():
         "print('scipy.special' in sys.modules)"
     )
     assert _fresh_python(code).splitlines() == [DRIFT_PINNED[0][2], "True"]
+
+
+def test_stochastic_weights_leave_scipy_stats_unloaded():
+    # the truncated-normal mean and quantile need scipy.special only
+    code = (
+        "import sys, numpy as np, jurylab\n"
+        "from jurylab.experiment import ExperimentConfig, run\n"
+        "scheme = jurylab.StochasticPoly(W=10.0, k=2, sigma_w=2.0)\n"
+        "jurylab.sample_weight(scheme, np.linspace(0.0, 1.0, 11), np.random.default_rng(1))\n"
+        "jurylab.drift(jurylab.affine(1.0), scheme)\n"
+        "run(ExperimentConfig(measure=jurylab.affine(1.0), scheme=scheme, n_grid=(5, 7, 9),"
+        " profiles_per_n=10, replicas=100))\n"
+        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
+    )
+    assert _fresh_python(code) == "True False"
+
+
+def _mp_mean(a: float, b: float):
+    """(phi(a) - phi(b)) / (Phi(b) - Phi(a)) in mpmath, mirrored so that
+    a + b <= 0, where the erfc difference cancels only on narrow intervals."""
+    import mpmath
+
+    a, b = mpmath.mpf(a), mpmath.mpf(b)
+    if a + b > 0:
+        return -_mp_mean(-b, -a)
+    z = (mpmath.erfc(-b / mpmath.sqrt(2)) - mpmath.erfc(-a / mpmath.sqrt(2))) / 2
+    return (mpmath.npdf(a) - mpmath.npdf(b)) / z
+
+
+def _mp_ppf(u: float, a: float, b: float, start: float):
+    """x in [a, b] with Phi(x) = Phi(a) + u (Phi(b) - Phi(a)) in mpmath,
+    mirrored like the mean.  1 - u is formed before the mirror, so a u of
+    1e-300 keeps its digits.  Newton steps on log Phi(x) below the median,
+    or on log Phi(-x) above it, run from `start` and bisect a shrinking
+    bracket whenever they would leave it; the start only saves steps."""
+    import mpmath
+
+    def cdf(x):
+        return mpmath.erfc(-x / mpmath.sqrt(2)) / 2
+
+    a, b, v, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(u), 1 - mpmath.mpf(u)
+    flip = a + b > 0
+    if flip:
+        a, b, v, c, start = -b, -a, c, v, -start
+    z = cdf(b) - cdf(a) if b <= 0 else 1 - cdf(a) - cdf(-b)
+    below = cdf(a) + v * z <= 0.5
+    # increasing in x, zero at the quantile
+    if below:
+        target = mpmath.log(cdf(a) + v * z)
+        gap = lambda x: mpmath.log(cdf(x)) - target  # noqa: E731
+    else:
+        target = mpmath.log(cdf(-b) + c * z)
+        gap = lambda x: target - mpmath.log(cdf(-x))  # noqa: E731
+    if below and target == -mpmath.inf:
+        return -a if flip else a
+    lo, hi = max(a, mpmath.mpf(-1e3)), min(b, mpmath.mpf(1e3))
+    x = min(max(mpmath.mpf(start), lo), hi) if math.isfinite(start) else (lo + hi) / 2
+    for _ in range(1000):
+        f = gap(x)
+        lo, hi = (x, hi) if f < 0 else (lo, x)
+        slope = mpmath.npdf(x) / (cdf(x) if below else cdf(-x))
+        nxt = x - f / slope
+        if abs(nxt - x) <= mpmath.mpf(10) ** -40 * max(1, abs(x)):
+            break
+        x = nxt if lo < nxt < hi else (lo + hi) / 2
+    return -x if flip else x
+
+
+def _truncnorm_grid() -> list[tuple[float, float]]:
+    """Intervals in both tails out to |60|, narrow ones of width 1e-9 to
+    1e-4, ones either side of the mean's series switch (width times
+    max(1, |midpoint|) = 0.02), and one-sided and two-sided infinite ones."""
+    rng = np.random.default_rng(27)
+    wide = zip(rng.uniform(-60.0, 60.0, 60), 10.0 ** rng.uniform(-2.0, 2.3, 60))
+    narrow = zip(rng.uniform(-60.0, 60.0, 40), 10.0 ** rng.uniform(-9.0, -4.0, 40))
+    switch = [
+        (m - w / 2.0, w) for m in (-50.0, -3.0, 0.3, 4.0, 45.0)
+        for w in (0.019 / max(1.0, abs(m)), 0.021 / max(1.0, abs(m)))
+    ]
+    ends = (-60.0, -38.5, -5.0, 0.0, 5.0, 38.5, 60.0)
+    return (
+        [(float(a), float(a + w)) for a, w in (*wide, *narrow, *switch)]
+        + [(-math.inf, e) for e in ends]
+        + [(e, math.inf) for e in ends]
+        + [(-math.inf, math.inf)]
+    )
+
+
+TRUNCNORM_GRID = _truncnorm_grid()
+QUANTILE_US = (0.0, 1e-300, 2.0**-53, 1e-10, 0.25, 0.5, 0.75, 1.0 - 1e-10, 1.0 - 2.0**-53)
+
+
+class TestTruncatedNormalAgainstMpmath:
+    """The mean and the quantile against 60-digit mpmath on TRUNCNORM_GRID,
+    in error relative above 1 and absolute below."""
+
+    def test_mean(self):
+        mpmath = pytest.importorskip("mpmath")
+        a, b = np.array(TRUNCNORM_GRID).T
+        got = weights._std_truncnorm_mean(a, b)
+        with mpmath.workdps(60):
+            want = np.array([float(_mp_mean(lo, hi)) for lo, hi in TRUNCNORM_GRID])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+    def test_quantile(self):
+        mpmath = pytest.importorskip("mpmath")
+        u = np.tile(QUANTILE_US, len(TRUNCNORM_GRID))
+        a, b = np.repeat(np.array(TRUNCNORM_GRID), len(QUANTILE_US), axis=0).T
+        got = weights._std_truncnorm_ppf(u, a, b)
+        with mpmath.workdps(60):
+            want = np.array([float(_mp_ppf(*args)) for args in zip(u, a, b, got)])
+        with np.errstate(invalid="ignore"):  # inf - inf where u = 0 on (-inf, b)
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert np.all((got == want) | (err <= 1e-14))
