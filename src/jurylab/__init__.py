@@ -18,7 +18,6 @@ from .measure import (
     moment,
     quantile,
     reflect,
-    sample,
 )
 from .divergence import DivergenceReport, KakutaniVerdict, divergences, kakutani_criterion
 from .profile import (

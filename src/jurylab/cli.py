@@ -240,8 +240,7 @@ def _scenario_theorem_4_3(args) -> None:
     print(f"closed-form drift per voter: {_fmt(drift)}")
     n = 10001
     profile = prof.generate(prof.IidSource(spec), n, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-    w = wts.sample_weight(scheme, profile.competences, rng)
+    w = wts.sample_weight(scheme, profile.competences, args.seed)
     est = tally.weighted_majority_prob(profile, w, mode="mc", replicas=10_000, seed=args.seed)
     unit = tally.majority_prob_exact(profile)
     print(f"stochastic-weight win prob at n={n}: {_fmt(est.value)} +- {_fmt(est.half_width)}")

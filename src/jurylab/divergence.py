@@ -357,7 +357,8 @@ def kakutani_criterion(
     when the sums blow past 1e6, when the terms stop decaying, or
     when a perturbation fails absolute continuity, and `inconclusive`
     otherwise.  Hellinger-affinity partial products are reported
-    alongside.
+    alongside.  A family that ends, dominated, after fewer than 4 terms
+    (the horizon's own floor) raises ValueError.
     """
     if horizon < 4:
         raise ValueError("horizon must be at least 4")
@@ -378,6 +379,8 @@ def kakutani_criterion(
     if not dominated:
         return KakutaniVerdict(sums, products, "diverging")
     n = len(terms)
+    if n < 4:
+        raise ValueError(f"need at least 4 perturbations to scan, got {n}")
     s_n = float(sums[-1])
     s_half = float(sums[n // 2 - 1])
     a_n, a_half = terms[-1], terms[n // 2 - 1]

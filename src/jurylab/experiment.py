@@ -15,7 +15,7 @@ The profiles of one size are drawn together, by one `generate` call per
 chunk of at most _CHUNK competences; every profile still owns its
 substream, so the values are those of one call per profile.  Weights
 and tallies stay one call per profile (a stochastic scheme draws each
-profile's weights from that profile's own generator); the drift
+profile's weights from that profile's own substream); the drift
 statistic and the weighted drift are row reductions over the chunk.
 """
 
@@ -53,10 +53,10 @@ __all__ = [
 
 _PROFILE_TAG = 0xE41
 _WEIGHT_TAG = 0xE42
-# competences per `generate` call (profiles times n).  The inversion's
-# temporaries on a chunk this size stay below the exact tally's own peak
-# at n = 20001, so a sweep holds no more at once than it did drawing one
-# profile per call; a profile longer than this is drawn alone.
+# competences per `generate` call (profiles times n).  It bounds the
+# chunk's stacked competences and weights at 128 KiB each; the inversion
+# works in fixed blocks whatever the chunk.  A profile longer than this
+# is drawn alone.
 _CHUNK = 1 << 14
 
 
@@ -114,8 +114,8 @@ def _profile_outcome(config: ExperimentConfig, profile: Profile, j: int) -> tupl
     n, p = profile.n, profile.competences
     scheme = config.scheme
     if scheme.stochastic:
-        rng = streams.generator(config.seed, _WEIGHT_TAG, n, j)
-        w = np.asarray(sample_weight(scheme, p, rng))
+        seed = streams.stream_key(config.seed, _WEIGHT_TAG, n, j)
+        w = np.asarray(sample_weight(scheme, p, seed))
     else:
         w = np.asarray(deterministic_weight(scheme, p), dtype=float)
 

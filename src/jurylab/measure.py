@@ -28,7 +28,6 @@ __all__ = [
     "atom_mass",
     "cdf",
     "quantile",
-    "sample",
     "reflect",
     "to_dict",
     "from_dict",
@@ -288,13 +287,6 @@ def _invert_segment(seg: tuple, t: np.ndarray, work: np.ndarray) -> None:
     if len(rare):
         t[rare] = near
     np.clip(t, a, b, out=t)
-
-
-def sample(
-    spec: MeasureSpec, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray | float:
-    """Inverse-CDF draws from spec using the caller-owned generator."""
-    return quantile(spec, rng.random(size))
 
 
 def reflect(spec: MeasureSpec) -> MeasureSpec:

@@ -142,32 +142,6 @@ def row_keys(seed: int, path: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def bits_block(
-    seed: int,
-    path: tuple[int, ...],
-    rows: np.ndarray,
-    cols: int,
-    col_start: int = 0,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """(len(rows), cols) 53-bit draws as uint64; row r is the substream (path..., r).
-
-    Used for replica-indexed Monte Carlo: each row is an independent
-    per-replica stream, and extending `cols` extends every row in place.
-    Draw b is word >> 11 of `fill_words` with the keys of `row_keys`, and
-    has the uniform b * 2^-53.  `out`, if given, is a C-contiguous uint64
-    array of that shape and receives the draws.
-    """
-    shape = (len(rows), cols)
-    if out is None:
-        out = np.empty(shape, dtype=np.uint64)
-    elif out.shape != shape or out.dtype != np.uint64 or not out.flags.c_contiguous:
-        raise ValueError(f"out must be a C-contiguous uint64 array of shape {shape}")
-    fill_words(out, row_keys(seed, path, rows), col_start)
-    out >>= 11
-    return out
-
-
 def uniforms_block(
     seed: int,
     path: tuple[int, ...],
@@ -175,10 +149,14 @@ def uniforms_block(
     cols: int,
     col_start: int = 0,
 ) -> np.ndarray:
-    """(len(rows), cols) uniforms in [0,1): `bits_block` times 2^-53."""
-    return bits_block(seed, path, rows, cols, col_start) * 2.0**-53
+    """(len(rows), cols) uniforms in [0,1); row r is the substream (path..., r).
 
-
-def generator(seed: int, *path: int) -> np.random.Generator:
-    """A numpy Generator seeded from the (seed, *path) substream."""
-    return np.random.default_rng(stream_key(seed, *path))
+    Used for replica-indexed Monte Carlo: each row is an independent
+    per-replica stream, and extending `cols` extends every row in place.
+    The uniforms are `fill_words` on the keys of `row_keys`, shifted right
+    by 11 and times 2^-53.
+    """
+    words = np.empty((len(rows), cols), dtype=np.uint64)
+    fill_words(words, row_keys(seed, path, rows), col_start)
+    words >>= 11
+    return words * 2.0**-53

@@ -125,36 +125,33 @@ def random_walk_return(
     if k == 0:
         return TallyEstimate(1.0, "bound")
     level = abs(k)  # symmetric walk: hitting +k and -k are equiprobable
-    hits = np.zeros(replicas, dtype=bool)
     # replica streams are indexed by (replica, absolute step), so the
-    # active set can be compacted without disturbing any draws
-    active = np.arange(replicas)
+    # live replicas' keys can be compacted without disturbing any draws
+    keys = streams.row_keys(seed, (_WALK_TAG,), np.arange(replicas))
     position = np.zeros(replicas, dtype=np.int32)
-    # one draw buffer and one step buffer, reused by every block
+    # one word buffer and one step buffer, reused by every block
     width = min(_STEP_BLOCK, horizon)
-    bits_buf = np.empty(replicas * width, dtype=np.uint64)
+    words_buf = np.empty(replicas * width, dtype=np.uint64)
     steps_buf = np.empty(replicas * width, dtype=np.int32)
-    done = draws = 0
-    while done < horizon and len(active):
+    hits = done = draws = 0
+    while done < horizon and len(keys):
         take = min(_STEP_BLOCK, horizon - done)
-        shape = (len(active), take)
+        shape = (len(keys), take)
         size = shape[0] * take
-        bits = streams.bits_block(
-            seed, (_WALK_TAG,), active, take, col_start=done, out=bits_buf[:size].reshape(shape)
-        )
-        # the uniform >= 1/2 steps up: 1 or 0, mapped to +1 or -1, then
-        # summed in place into the walk's offsets from `position`
-        partial = np.greater_equal(bits, 2**52, out=steps_buf[:size].reshape(shape))
+        words = streams.fill_words(words_buf[:size].reshape(shape), keys, done)
+        # a word >= 2^63 (its uniform >= 1/2) steps up: 1 or 0, mapped to
+        # +1 or -1, then summed in place into the walk's offsets from `position`
+        partial = np.greater_equal(words, 2**63, out=steps_buf[:size].reshape(shape))
         partial *= 2
         partial -= 1
         np.cumsum(partial, axis=1, out=partial)
         hit_now = partial.max(axis=1) + position >= level
-        hits[active[hit_now]] = True
-        active = active[~hit_now]
+        hits += int(np.count_nonzero(hit_now))
+        keys = keys[~hit_now]
         position = position[~hit_now] + partial[~hit_now, -1]
         done += take
         draws += size
-    return monte_carlo_estimate(int(np.count_nonzero(hits)), replicas, draws)
+    return monte_carlo_estimate(hits, replicas, draws)
 
 
 def moa_fraction_experiment(

@@ -9,6 +9,11 @@ Every scheme carries its registry `kind`, a `stochastic` flag and
 `weight(p)`, its deterministic weight over a float array of any shape;
 `SCHEMES` maps each kind to its class.
 
+Under weight draw 2, `sample_weight(scheme, p, seed)` gives voter i the
+quantile of its own truncated-Gaussian error at uniform i of the stream
+(seed, _WEIGHT_TAG), so stochastic weights come from the same
+counter-based streams as every other draw in the package.
+
 The analytic side evaluates the truncated normal's mean and quantile,
 both from one scaled form of its mass that needs only `scipy.special`,
 the sharpness factor f(x, p) with x = (W-1)/sigma, the moment criterion
@@ -25,6 +30,7 @@ from typing import ClassVar, Union, get_args
 
 import numpy as np
 
+from . import streams
 from .measure import MeasureSpec, moment
 from .quadrature import integrate
 
@@ -48,6 +54,7 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
+_WEIGHT_TAG = 0x5747
 
 
 @dataclass(frozen=True)
@@ -257,17 +264,21 @@ def _error_mean(scheme: StochasticPoly, p: np.ndarray) -> np.ndarray:
 def sample_weight(
     scheme: StochasticPoly,
     p: np.ndarray | float,
-    rng: np.random.Generator,
+    seed: int,
 ) -> np.ndarray | float:
     """Draw w = w_d(p) + error, one weight per entry of p, by inverting
-    rng.random's u with `_std_truncnorm_ppf`; always lands in [1, W]."""
+    u = `streams.uniforms(seed, (_WEIGHT_TAG,), p.size)` with
+    `_std_truncnorm_ppf` (weight draw 2); always lands in [1, W].  Entry
+    i takes uniform i of the seed's stream, so the first m weights drawn
+    for n voters are the weights drawn for their first m."""
     if not isinstance(scheme, StochasticPoly):
         raise TypeError("sample_weight needs a stochastic scheme")
     arr = np.asarray(p, dtype=float)
     wd = scheme.weight(arr)
     alpha = (1.0 - wd) / scheme.sigma_w
     beta = (scheme.W - wd) / scheme.sigma_w
-    eps = scheme.sigma_w * _std_truncnorm_ppf(rng.random(arr.shape), alpha, beta)
+    u = streams.uniforms(seed, (_WEIGHT_TAG,), arr.size).reshape(arr.shape)
+    eps = scheme.sigma_w * _std_truncnorm_ppf(u, alpha, beta)
     w = np.clip(wd + eps, 1.0, scheme.W)
     return w if np.ndim(p) else float(w)
 

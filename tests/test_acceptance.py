@@ -16,7 +16,7 @@ from scipy import stats
 from jurylab.divergence import divergences
 from jurylab.measure import MeasureSpec, affine, lebesgue
 from jurylab.profile import C1Source, ExplicitSource, IidSource, Profile, condition_report, generate
-from jurylab.streams import generator, stream_key
+from jurylab.streams import stream_key
 from jurylab.tally import majority_prob_exact, weighted_majority_prob
 from jurylab.walk import border_measure, catalan, moa_fraction_experiment
 from jurylab.weights import (
@@ -161,7 +161,7 @@ def test_criterion_7_stochastic_weights_rescue():
     d = drift(spec, scheme)
     n = 10_001
     prof = generate(IidSource(spec), n, seed=stream_key(SEED, 7))
-    w = sample_weight(scheme, prof.competences, generator(SEED, 7, 1))
+    w = sample_weight(scheme, prof.competences, stream_key(SEED, 7, 1))
     weighted = weighted_majority_prob(prof, w, mode="mc", replicas=10_000, seed=SEED)
     unit = majority_prob_exact(prof).value
     elapsed = time.time() - t0
@@ -210,7 +210,7 @@ def test_criterion_9_truncated_gaussian_mean():
     worst = 0.0
     for i, (sigma, a, b) in enumerate(cases):
         analytic = truncated_normal_mean(TruncatedGaussianSpec(sigma, a, b))
-        u = generator(SEED, 9, i).random(1_000_000)
+        u = np.random.default_rng(stream_key(SEED, 9, i)).random(1_000_000)
         draws = sigma * stats.truncnorm.ppf(u, a / sigma, b / sigma)
         se = float(draws.std()) / 1000.0
         dev = abs(float(draws.mean()) - analytic)

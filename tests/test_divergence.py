@@ -320,6 +320,22 @@ class TestKakutani:
         with pytest.raises(ValueError, match="horizon"):
             kakutani_criterion(lebesgue(), (lebesgue() for _ in range(10)), "tv", horizon=3)
 
+    @pytest.mark.parametrize("length", [0, 1, 2, 3])
+    def test_short_family_rejected(self, length):
+        # fewer than 4 dominated terms leave no half-way partial sum: at
+        # length 1 the tail test compared sums[-1] with itself
+        with pytest.raises(ValueError, match="at least 4"):
+            kakutani_criterion(lebesgue(), [affine(1.0)] * length, "tv", horizon=64)
+        # a perturbation that fails absolute continuity is still a verdict
+        mix = MeasureSpec(pieces=((0.0, 1.0, 0.9, 0.0),), atoms=((0.5, 0.1),))
+        v = kakutani_criterion(lebesgue(), [affine(1.0)] * length + [mix], "tv", horizon=64)
+        assert v.diagnosis == "diverging" and len(v.partial_sums) == length
+
+    def test_four_terms_give_a_verdict(self):
+        v = kakutani_criterion(lebesgue(), [affine(1.0)] * 4, "tv", horizon=64)
+        assert v.diagnosis == "diverging"
+        assert v.partial_sums == pytest.approx(0.25 * np.arange(1, 5), abs=1e-12)
+
 
 def adjacent_measure(rng: np.random.Generator) -> MeasureSpec:
     """Two affine pieces that meet at a random point and cover [0, 1]."""

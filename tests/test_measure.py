@@ -16,12 +16,11 @@ from jurylab.measure import (
     moment,
     quantile,
     reflect,
-    sample,
     to_json,
 )
 from jurylab.measure import _BLOCK, _segments
 from jurylab.profile import IidSource, generate
-from jurylab.streams import generator
+from jurylab.streams import stream_key
 
 from conftest import random_measure
 
@@ -164,21 +163,21 @@ class TestIntervalMass:
 
 class TestSampling:
     def test_dirac_constant(self):
-        draws = sample(dirac(0.5), generator(0), 100)
+        draws = quantile(dirac(0.5), np.random.default_rng(stream_key(0)).random(100))
         assert np.all(draws == 0.5)
 
     def test_lebesgue_mean(self):
-        draws = sample(lebesgue(), generator(42), 100_000)
+        draws = quantile(lebesgue(), np.random.default_rng(stream_key(42)).random(100_000))
         assert abs(draws.mean() - 0.5) < 0.01  # ~3 sigma would be 0.003
 
     def test_tilted_mean(self):
-        draws = sample(affine(2.0), generator(43), 100_000)
+        draws = quantile(affine(2.0), np.random.default_rng(stream_key(43)).random(100_000))
         assert abs(draws.mean() - 2.0 / 3.0) < 0.01
 
     @pytest.mark.parametrize("spec", [lebesgue(), affine(2.0), affine(-1.0)])
     def test_empirical_cdf_ks(self, spec):
         n = 100_000
-        x = np.sort(sample(spec, generator(7), n))
+        x = np.sort(quantile(spec, np.random.default_rng(stream_key(7)).random(n)))
         f = cdf(spec, x)
         i = np.arange(1, n + 1)
         ks = max(np.max(np.abs(i / n - f)), np.max(np.abs((i - 1) / n - f)))
@@ -196,15 +195,15 @@ class TestSampling:
     def test_blocked_matches_reference_bitwise(self, spec, length):
         starts, _ = _segments(spec)
         edges = np.concatenate((starts, [0.0, 1.0 - 2.0**-53, 1.0]))
-        u = generator(length).random(length)
+        u = np.random.default_rng(stream_key(length)).random(length)
         u[: min(length, len(edges))] = edges[:length]
-        u = generator(length + 1).permutation(u)
+        u = np.random.default_rng(stream_key(length + 1)).permutation(u)
         got = quantile(spec, u)
         assert got.shape == u.shape
         assert np.array_equal(got, reference_quantile(spec, u))
 
     def test_shape_and_scalar_kept(self):
-        u = generator(3).random((3, _BLOCK + 5))
+        u = np.random.default_rng(stream_key(3)).random((3, _BLOCK + 5))
         got = quantile(MULTI, u)
         assert got.shape == u.shape
         assert np.array_equal(got, reference_quantile(MULTI, u.ravel()).reshape(u.shape))
@@ -259,12 +258,12 @@ class TestSampling:
             pieces=((0.0, 0.4, 0.25, 0.0), (0.6, 1.0, 0.5, 1.25)),
             atoms=((0.5, 0.3),),
         )
-        draws = sample(mix, generator(9), 200_000)
+        draws = quantile(mix, np.random.default_rng(stream_key(9)).random(200_000))
         assert abs(np.mean(draws == 0.5) - 0.3) < 0.01
 
     def test_deterministic_given_seed(self):
-        a = sample(lebesgue(), generator(5), 100)
-        b = sample(lebesgue(), generator(5), 100)
+        a = quantile(lebesgue(), np.random.default_rng(stream_key(5)).random(100))
+        b = quantile(lebesgue(), np.random.default_rng(stream_key(5)).random(100))
         assert np.array_equal(a, b)
 
 

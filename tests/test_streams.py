@@ -5,7 +5,6 @@ import pytest
 
 from jurylab.streams import (
     _BLOCK,
-    bits_block,
     fill_words,
     row_keys,
     stream_key,
@@ -73,31 +72,33 @@ class TestBatching:
 
     def test_block_rows_and_columns_independent_of_split(self):
         rows = np.arange(5, 15)
-        whole = bits_block(11, (2,), rows, 9_001, col_start=17)
-        subset = bits_block(11, (2,), rows[[7, 2]], 9_001, col_start=17)
+        whole = uniforms_block(11, (2,), rows, 9_001, col_start=17)
+        subset = uniforms_block(11, (2,), rows[[7, 2]], 9_001, col_start=17)
         assert np.array_equal(subset, whole[[7, 2]])
-        left = bits_block(11, (2,), rows, 4_000, col_start=17)
-        right = bits_block(11, (2,), rows, 5_001, col_start=4_017)
+        left = uniforms_block(11, (2,), rows, 4_000, col_start=17)
+        right = uniforms_block(11, (2,), rows, 5_001, col_start=4_017)
         assert np.array_equal(np.hstack([left, right]), whole)
 
     def test_any_columns_match_the_block(self):
         # unordered, repeated and far (key, column) pairs are the block's own words
         rows = np.arange(3, 9)
-        whole = bits_block(11, (2,), rows, 600, col_start=2**62)
+        whole = uniforms_block(11, (2,), rows, 600, col_start=2**62)
         picks = [599, 0, 17, 17, 301]
         pairs = [(r, c) for r in (5, 0, 5, 2) for c in picks]
         keys = row_keys(11, (2,), rows)[[r for r, _ in pairs]]
         cols = np.array([c for _, c in pairs], dtype=np.uint64) + np.uint64(2**62)
-        got = words_at(keys, cols) >> np.uint64(11)
+        got = (words_at(keys, cols) >> np.uint64(11)) * 2.0**-53
         assert np.array_equal(got, [whole[r, c] for r, c in pairs])
 
     def test_words_are_the_draws_before_the_shift(self):
-        # bits_block is fill_words >> 11 on the same rows and columns, and
-        # a fill split by columns or by rows gives the same words
+        # uniforms_block is fill_words >> 11 times 2^-53 on the same rows
+        # and columns, and a fill split by columns or by rows gives the
+        # same words
         rows = np.arange(40, 47)
         keys = row_keys(13, (9,), rows)
         whole = fill_words(np.empty((7, 70_001), dtype=np.uint64), keys, 2**61)
-        assert np.array_equal(whole >> np.uint64(11), bits_block(13, (9,), rows, 70_001, 2**61))
+        u = uniforms_block(13, (9,), rows, 70_001, 2**61)
+        assert np.array_equal((whole >> np.uint64(11)) * 2.0**-53, u)
         left = fill_words(np.empty((7, 65_537), dtype=np.uint64), keys, 2**61)
         right = fill_words(np.empty((7, 4_464), dtype=np.uint64), keys, 2**61 + 65_537)
         assert np.array_equal(np.hstack([left, right]), whole)
@@ -105,27 +106,16 @@ class TestBatching:
         assert np.array_equal(top, whole[[5, 0]])
         assert int(whole.max()) >= 2**63  # the top bits are there, not shifted out
 
-    def test_out_buffer_matches_fresh_array(self):
-        rows = np.arange(3)
-        buf = np.empty((4, 50), dtype=np.uint64)
-        got = bits_block(8, (1,), rows, 50, out=buf[:3])
-        assert np.shares_memory(got, buf)
-        assert np.array_equal(buf[:3], bits_block(8, (1,), rows, 50))
-
-    def test_out_buffer_validated(self):
-        rows = np.arange(3)
-        for bad in (np.empty((3, 49), dtype=np.uint64), np.empty((3, 50)),
-                    np.empty((50, 3), dtype=np.uint64).T):
-            with pytest.raises(ValueError, match="out"):
-                bits_block(8, (1,), rows, 50, out=bad)
-
 
 def test_uniforms_are_scaled_bits():
     rows = np.array([0, 1, 2**20])
-    bits = bits_block(21, (6, 7), rows, 1_000, col_start=2**61)
-    assert bits.dtype == np.uint64 and int(bits.max()) < 2**53
     u = uniforms_block(21, (6, 7), rows, 1_000, col_start=2**61)
-    assert np.array_equal(u, bits * 2.0**-53)
+    bits = u * 2.0**53
+    assert u.dtype == np.float64 and bits.max() < 2**53
+    # every uniform is a whole multiple of 2^-53: 53 bits, scaled exactly
+    assert np.array_equal(bits, np.floor(bits))
+    words = fill_words(np.empty((3, 1_000), dtype=np.uint64), row_keys(21, (6, 7), rows), 2**61)
+    assert np.array_equal(bits, (words >> np.uint64(11)).astype(np.float64))
 
 
 class TestManySeeds:

@@ -1265,7 +1265,7 @@ class TestMonteCarloInterval:
         spec = affine(-2.0)
         scheme = StochasticPoly(W=100.0, k=find_k(spec), sigma_w=99.0 / 50.0)
         prof = generate(IidSource(spec), 10_001, seed=streams.stream_key(0, 7))
-        w = sample_weight(scheme, prof.competences, streams.generator(0, 7, 1))
+        w = sample_weight(scheme, prof.competences, streams.stream_key(0, 7, 1))
         est = weighted_majority_prob(prof, w, mode="mc", replicas=10_000, seed=0)
         assert est.value == 1.0
         assert 0.0 < est.half_width < 1e-3

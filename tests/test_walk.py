@@ -56,8 +56,8 @@ def reference_walk_return(k: int, horizon: int, replicas: int, seed: int):
     done = 0
     while done < horizon and len(active):
         take = min(512, horizon - done)
-        bits = streams.bits_block(seed, (0x57A1,), active, take, col_start=done)
-        steps = np.where(bits < 2**52, -1, 1).astype(np.int32)
+        u = streams.uniforms_block(seed, (0x57A1,), active, take, col_start=done)
+        steps = np.where(u >= 0.5, 1, -1).astype(np.int32)
         partial = np.cumsum(steps, axis=1) + position[:, None]
         hit_now = partial.max(axis=1) >= level
         hits[active[hit_now]] = True

@@ -10,9 +10,8 @@ import pytest
 from scipy import integrate, stats
 
 import jurylab
-from jurylab import weights
-from jurylab.measure import MeasureSpec, affine, dirac, lebesgue, moment, sample, to_json
-from jurylab.streams import generator
+from jurylab import streams, weights
+from jurylab.measure import MeasureSpec, affine, dirac, lebesgue, moment, quantile, to_json
 from jurylab.weights import (
     BoundedPoly,
     ExpertRule,
@@ -202,31 +201,55 @@ class TestSchemeInterface:
 
 class TestSampleWeight:
     def test_bounds_one_million(self):
-        rng = generator(4)
-        p = rng.random(1_000_000)
-        w = sample_weight(T43, p, rng)
+        p = np.random.default_rng(streams.stream_key(4)).random(1_000_000)
+        w = sample_weight(T43, p, 4)
         assert w.min() >= 1.0
         assert w.max() <= T43.W
 
     def test_vanishing_noise(self):
         scheme = StochasticPoly(W=10.0, k=1, sigma_w=1e-9)
-        w = sample_weight(scheme, np.full(200, 0.3), generator(1))
+        w = sample_weight(scheme, np.full(200, 0.3), 1)
         assert np.max(np.abs(w - 3.7)) < 1e-6
 
     def test_floor_at_p_zero(self):
         scheme = StochasticPoly(W=10.0, k=1, sigma_w=2.0)
-        w = sample_weight(scheme, np.full(100_000, 0.0), generator(2))
+        w = sample_weight(scheme, np.full(100_000, 0.0), 2)
         assert w.min() >= 1.0
 
     def test_symmetric_truncation_mean(self):
         scheme = StochasticPoly(W=10.0, k=1, sigma_w=2.0)
-        w = sample_weight(scheme, np.full(1_000_000, 0.5), generator(3))
+        w = sample_weight(scheme, np.full(1_000_000, 0.5), 3)
         se = w.std() / 1000.0
         assert abs(w.mean() - 5.5) <= 3.0 * se
 
     def test_requires_stochastic_scheme(self):
         with pytest.raises(TypeError):
-            sample_weight(BoundedPoly(W=10.0, k=1), 0.5, generator(0))
+            sample_weight(BoundedPoly(W=10.0, k=1), 0.5, 0)
+
+    @pytest.mark.parametrize("seed", [0, 4300, 2**64 - 1])
+    def test_inverts_the_seeds_stream(self, seed):
+        # weight draw 2: voter i's error is the truncated-normal quantile
+        # at uniform i of the stream (seed, _WEIGHT_TAG)
+        p = np.random.default_rng(seed % 97).random(1_001)
+        wd = T43.weight(p)
+        alpha, beta = (1.0 - wd) / T43.sigma_w, (T43.W - wd) / T43.sigma_w
+        u = streams.uniforms(seed, (weights._WEIGHT_TAG,), p.size)
+        want = np.clip(wd + T43.sigma_w * weights._std_truncnorm_ppf(u, alpha, beta), 1.0, T43.W)
+        assert sample_weight(T43, p, seed).tobytes() == want.tobytes()
+
+    def test_shorter_draw_is_a_prefix(self):
+        p = np.random.default_rng(5).random(301)
+        w = sample_weight(T43, p, 17)
+        for m in (1, 2, 100, 300):
+            assert sample_weight(T43, p[:m], 17).tobytes() == w[:m].tobytes()
+
+    def test_scalar_and_shape(self):
+        p = np.random.default_rng(6).random((3, 4))
+        w = sample_weight(T43, p, 8)
+        assert w.shape == (3, 4)
+        assert w.tobytes() == sample_weight(T43, p.ravel(), 8).tobytes()
+        x = sample_weight(T43, float(p[0, 0]), 8)
+        assert type(x) is float and x == w[0, 0]
 
 
 class TestDrift:
@@ -240,10 +263,9 @@ class TestDrift:
         assert drift(DOWN, T43) == pytest.approx(2.660822974575, abs=1e-9)
 
     def test_matches_sampled_weights(self):
-        rng = generator(11)
         value = drift(DOWN, T43)
-        p = sample(DOWN, rng, 2_000_000)
-        v = sample_weight(T43, p, rng) * (2.0 * p - 1.0)
+        p = quantile(DOWN, np.random.default_rng(streams.stream_key(11)).random(2_000_000))
+        v = sample_weight(T43, p, 11) * (2.0 * p - 1.0)
         se = v.std() / math.sqrt(len(v))
         assert abs(v.mean() - value) <= 3.0 * se
 
@@ -398,7 +420,7 @@ def test_stochastic_weights_leave_scipy_stats_unloaded():
         "import sys, numpy as np, jurylab\n"
         "from jurylab.experiment import ExperimentConfig, run\n"
         "scheme = jurylab.StochasticPoly(W=10.0, k=2, sigma_w=2.0)\n"
-        "jurylab.sample_weight(scheme, np.linspace(0.0, 1.0, 11), np.random.default_rng(1))\n"
+        "jurylab.sample_weight(scheme, np.linspace(0.0, 1.0, 11), 1)\n"
         "jurylab.drift(jurylab.affine(1.0), scheme)\n"
         "run(ExperimentConfig(measure=jurylab.affine(1.0), scheme=scheme, n_grid=(5, 7, 9),"
         " profiles_per_n=10, replicas=100))\n"
