@@ -8,8 +8,9 @@ return +inf when p is not absolutely continuous w.r.t. q on a set of
 positive p-mass.
 
 Every continuous term is a closed form.  Densities are affine on each
-piece of the merged grid, and after a split at the roots of rho_p, rho_q
-and rho_p - rho_q, each term on a sub-piece is an elementary
+piece of the grid of both measures' piece ends, which one loop walks
+with a pointer into each piece list.  After a split at the roots of
+rho_p, rho_q and rho_p - rho_q, each term on a sub-piece is an elementary
 antiderivative (Gradshteyn & Ryzhik 2.26 and 2.72): the signed mass for
 TV, the integral of sqrt(rho_p rho_q) for the affinity, and of
 rho_p log(rho_p/rho_q) for KL.  The textbook forms of the last two
@@ -17,7 +18,8 @@ cancel catastrophically when a slope is small, so the affinity is
 written as a sum of non-negative terms in each density's distance to
 its own root, and KL about the piece midpoint with logarithmic forms
 and fixed-length power series.  A density that vanishes at, or very
-near, a piece end costs nothing extra.
+near, a piece end costs nothing extra.  `kakutani_criterion` walks each
+run of equal perturbations once.
 """
 
 from __future__ import annotations
@@ -63,46 +65,22 @@ class KakutaniVerdict:
     diagnosis: Literal["summable", "diverging", "inconclusive"]
 
 
-_NO_DENSITY = (0.0, 0.0)  # coefficients off a measure's pieces
+_NO_PIECE = (0.0, 0.0, 0.0, 0.0)  # density 0 off a measure's pieces
 _PAST_END = ((math.inf, math.inf, 0.0, 0.0),)  # closes each piece list of a walk
+_IDENTITY = DivergenceReport(0.0, 0.0, 1.0, 0.0, 0.0)
 
 
-def _merged_pieces(p: MeasureSpec, q: MeasureSpec):
-    """(a, b, (pc0, pc1), (qc0, qc1)) for each piece [a, b] of the grid of
-    0, 1 and both measures' piece ends: one pass with a pointer into each
-    ordered piece list.  [a, b] takes the first piece whose upper end
-    reaches its midpoint if that piece starts at or below it, else
-    _NO_DENSITY."""
-    grid = sorted({0.0, 1.0, *(x for piece in p.pieces + q.pieces for x in piece[:2])})
-    pp, qq = p.pieces + _PAST_END, q.pieces + _PAST_END
-    i = j = 0
-    for a, b in zip(grid, grid[1:]):
-        mid = 0.5 * (a + b)
-        while pp[i][1] < mid:
-            i += 1
-        while qq[j][1] < mid:
-            j += 1
-        pc = pp[i][2:] if pp[i][0] <= mid else _NO_DENSITY
-        qc = qq[j][2:] if qq[j][0] <= mid else _NO_DENSITY
-        yield a, b, pc, qc
-
-
-def _affine_root_inside(c0: float, c1: float, a: float, b: float) -> float | None:
-    if c1 == 0.0:
-        return None
-    r = -c0 / c1
-    return r if a < r < b else None
-
-
-def _is_zero(c0: float, c1: float, a: float, b: float) -> bool:
-    return abs(c0 + c1 * a) < _ZERO_DENSITY and abs(c0 + c1 * b) < _ZERO_DENSITY
+def _same_measure(p: MeasureSpec, q: MeasureSpec) -> bool:
+    """The same pieces and the same atoms, in any listing order."""
+    return p.pieces == q.pieces and sorted(p.atoms) == sorted(q.atoms)
 
 
 def divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
     """Total variation, KL(p||q), Hellinger affinity/distance, Bhattacharyya.
 
-    Equal measures (the same pieces and atoms) give the exact identity
-    values: 0 for every divergence and an affinity of 1.
+    Equal measures (the same pieces, and the same atoms in any order)
+    give the exact identity values: 0 for every divergence and an
+    affinity of 1.
 
     Otherwise, continuous parts are taken piece by piece on the merged
     piece grid.  Where rho_p and rho_q coincide, the piece is done in
@@ -121,79 +99,94 @@ def divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
 
 def _divergences(p: MeasureSpec, q: MeasureSpec) -> tuple[DivergenceReport, bool]:
     """`divergences(p, q)` and `absolutely_continuous(p, q)` from one walk
-    of the merged pieces."""
-    if p.pieces == q.pieces and p.atoms == q.atoms:
-        report = DivergenceReport(
-            tv=0.0, kl=0.0, hellinger_affinity=1.0, hellinger_distance=0.0, bhattacharyya=0.0
-        )
-        return report, True
+    over the grid of 0, 1 and both measures' piece ends, with a pointer
+    into each ordered piece list: [a0, b0] takes the first piece whose
+    upper end reaches its midpoint if it starts at or below it, else 0."""
+    if _same_measure(p, q):
+        return _IDENTITY, True
     tv = kl = aff = 0.0
     dominated = True
-    for a0, b0, pc, qc in _merged_pieces(p, q):
-        (pc0, pc1), (qc0, qc1) = pc, qc
-        if pc == qc:
+    grid = sorted({0.0, 1.0, *(x for piece in p.pieces + q.pieces for x in piece[:2])})
+    pp, qq = p.pieces + _PAST_END, q.pieces + _PAST_END
+    i = j = 0
+    for a0, b0 in zip(grid, grid[1:]):
+        mid = 0.5 * (a0 + b0)
+        while pp[i][1] < mid:
+            i += 1
+        while qq[j][1] < mid:
+            j += 1
+        _, _, pc0, pc1 = pp[i] if pp[i][0] <= mid else _NO_PIECE
+        _, _, qc0, qc1 = qq[j] if qq[j][0] <= mid else _NO_PIECE
+        if pc0 == qc0 and pc1 == qc1:
             aff += pc0 * (b0 - a0) + 0.5 * pc1 * (b0 * b0 - a0 * a0)
             continue
         dc0, dc1 = pc0 - qc0, pc1 - qc1
-        if pc == _NO_DENSITY or qc == _NO_DENSITY:
+        q_none = qc0 == 0.0 and qc1 == 0.0
+        if q_none or (pc0 == 0.0 and pc1 == 0.0):
             # one density is 0: no affinity, and KL is +inf wherever p has
             # mass; TV is split at the other density's root
-            if qc == _NO_DENSITY and not _is_zero(pc0, pc1, a0, b0):
-                dominated = False
-            r = _affine_root_inside(dc0, dc1, a0, b0)
-            for a, b in ((a0, b0),) if r is None else ((a0, r), (r, b0)):
-                tv += abs(dc0 * (b - a) + 0.5 * dc1 * (b * b - a * a))
-                if qc == _NO_DENSITY and not _is_zero(pc0, pc1, a, b):
+            if dc1 != 0.0 and a0 < (r := -dc0 / dc1) < b0:
+                tv += abs(dc0 * (r - a0) + 0.5 * dc1 * (r * r - a0 * a0))
+                tv += abs(dc0 * (b0 - r) + 0.5 * dc1 * (b0 * b0 - r * r))
+            else:
+                r = None
+                tv += abs(dc0 * (b0 - a0) + 0.5 * dc1 * (b0 * b0 - a0 * a0))
+            if q_none:
+                if not (abs(pc0 + pc1 * a0) < _ZERO_DENSITY and abs(pc0 + pc1 * b0) < _ZERO_DENSITY):
+                    dominated = False
+                    kl = math.inf
+                elif r is not None and not abs(pc0 + pc1 * r) < _ZERO_DENSITY:
                     kl = math.inf
             continue
-        p_root = _affine_root_inside(pc0, pc1, a0, b0)
-        q_root = _affine_root_inside(qc0, qc1, a0, b0)
-        grid = sorted({a0, b0, p_root, q_root, _affine_root_inside(dc0, dc1, a0, b0)} - {None})
-        a = None
-        for b in grid:
-            # end values: exactly 0 at a density's own cut root, and never
-            # below 0 (a spec may dip to -1e-12 at a piece end)
+        # cut at the affine roots inside (a0, b0) of rho_p, rho_q and rho_p - rho_q
+        p_root = r if pc1 != 0.0 and a0 < (r := -pc0 / pc1) < b0 else None
+        q_root = r if qc1 != 0.0 and a0 < (r := -qc0 / qc1) < b0 else None
+        cuts = [] if p_root is None else [p_root]
+        if q_root is not None and q_root != p_root:
+            cuts.append(q_root)
+        if dc1 != 0.0 and a0 < (r := -dc0 / dc1) < b0 and r not in cuts:
+            cuts.append(r)
+        cuts.sort()
+        cuts.append(b0)
+        # end values: exactly 0 at a density's own cut root, and never
+        # below 0 (a spec may dip to -1e-12 at a piece end)
+        rp, rq = pc0 + pc1 * a0, qc0 + qc1 * a0
+        u0, v0 = (rp if rp > 0.0 else 0.0), (rq if rq > 0.0 else 0.0)
+        p_zero0 = p_zero_a0 = abs(rp) < _ZERO_DENSITY
+        q_zero0 = q_zero_a0 = abs(rq) < _ZERO_DENSITY
+        a = a0
+        for b in cuts:
             rp, rq = pc0 + pc1 * b, qc0 + qc1 * b
-            u1 = 0.0 if b == p_root else max(0.0, rp)
-            v1 = 0.0 if b == q_root else max(0.0, rq)
+            u1 = rp if rp > 0.0 and b != p_root else 0.0
+            v1 = rq if rq > 0.0 and b != q_root else 0.0
             p_zero1, q_zero1 = abs(rp) < _ZERO_DENSITY, abs(rq) < _ZERO_DENSITY
-            if a is not None:
-                p_zero, q_zero = p_zero0 and p_zero1, q_zero0 and q_zero1
-                # TV: sign of rho_p - rho_q is constant after the root split
-                tv += abs(dc0 * (b - a) + 0.5 * dc1 * (b * b - a * a))
-                if not (p_zero or q_zero):
-                    aff += _affinity_piece(b - a, u0, u1, v0, v1)
-                if not (p_zero or math.isinf(kl)):
-                    kl = math.inf if q_zero else kl + _kl_piece(b - a, u0, u1, v0, v1)
-            else:
-                p_zero_a0, q_zero_a0 = p_zero1, q_zero1
+            p_zero, q_zero = p_zero0 and p_zero1, q_zero0 and q_zero1
+            # TV: sign of rho_p - rho_q is constant after the root split
+            tv += abs(dc0 * (b - a) + 0.5 * dc1 * (b * b - a * a))
+            if not (p_zero or q_zero):
+                aff += _affinity_piece(b - a, u0, u1, v0, v1)
+            if not (p_zero or math.isinf(kl)):
+                kl = math.inf if q_zero else kl + _kl_piece(b - a, u0, u1, v0, v1)
             a, u0, v0, p_zero0, q_zero0 = b, u1, v1, p_zero1, q_zero1
         # absolute continuity: q's density is zero at both of the piece's
         # ends a0 and b0 while p's is not (an affine root inside is harmless)
-        if q_zero_a0 and q_zero1 and not (p_zero_a0 and p_zero1):
+        if q_zero_a0 and q_zero0 and not (p_zero_a0 and p_zero0):
             dominated = False
-    p_atoms = dict(p.atoms)
-    q_atoms = dict(q.atoms)
-    for x in sorted(set(p_atoms) | set(q_atoms)):
-        mp = p_atoms.get(x, 0.0)
-        mq = q_atoms.get(x, 0.0)
-        tv += abs(mp - mq)
-        aff += math.sqrt(mp * mq)
-        if mp > 0.0:
-            kl = math.inf if mq == 0.0 else kl + mp * math.log(mp / mq)
-            dominated = dominated and mq > 0.0
+    if p.atoms or q.atoms:
+        p_atoms, q_atoms = dict(p.atoms), dict(q.atoms)
+        for x in sorted(set(p_atoms) | set(q_atoms)):
+            mp, mq = p_atoms.get(x, 0.0), q_atoms.get(x, 0.0)
+            tv += abs(mp - mq)
+            aff += math.sqrt(mp * mq)
+            if mp > 0.0:
+                kl = math.inf if mq == 0.0 else kl + mp * math.log(mp / mq)
+                dominated = dominated and mq > 0.0
     aff = min(aff, 1.0)
     hd = math.sqrt(max(0.0, 2.0 * (1.0 - aff)))
     # 0.0 - log(aff), not -log(aff): an affinity of exactly 1 gives +0.0
     bhat = 0.0 - math.log(aff) if aff > 0.0 else math.inf
-    report = DivergenceReport(
-        tv=tv,
-        kl=max(kl, 0.0) if not math.isinf(kl) else math.inf,
-        hellinger_affinity=aff,
-        hellinger_distance=hd,
-        bhattacharyya=bhat,
-    )
-    return report, dominated
+    kl = max(kl, 0.0) if not math.isinf(kl) else math.inf
+    return DivergenceReport(tv, kl, aff, hd, bhat), dominated
 
 
 # Taylor coefficients.  Each series has a fixed length that reaches
@@ -362,13 +355,18 @@ def kakutani_criterion(
     """
     if horizon < 4:
         raise ValueError("horizon must be at least 4")
+    _IDENTITY.value(divergence_choice)  # an unknown choice fails before any walk
     terms: list[float] = []
     prods: list[float] = []
     running = 1.0
     dominated = True
+    prev = None
     for spec in itertools.islice(perturbations, horizon):
-        # the absolute-continuity verdict comes from the report's own walk
-        rep, dominated = _divergences(spec, base)
+        # the absolute-continuity verdict comes from the report's own walk,
+        # and a term equal to the one before it reuses that term's walk
+        if prev is None or not _same_measure(spec, prev):
+            rep, dominated = _divergences(spec, base)
+            prev = spec
         if not dominated:
             break
         terms.append(rep.value(divergence_choice))

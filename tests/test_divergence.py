@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from jurylab import divergence
 from jurylab.divergence import (
     DivergenceReport,
-    _affine_root_inside,
     absolutely_continuous,
     divergences,
     kakutani_criterion,
@@ -46,6 +46,14 @@ def _coeffs_on(spec: MeasureSpec, a: float, b: float) -> tuple[float, float]:
     return 0.0, 0.0
 
 
+def _root_inside(c0: float, c1: float, a: float, b: float) -> float | None:
+    """The root of c0 + c1 x when it lies strictly inside (a, b)."""
+    if c1 == 0.0:
+        return None
+    r = -c0 / c1
+    return r if a < r < b else None
+
+
 def _is_zero(c0: float, c1: float, a: float, b: float) -> bool:
     return abs(c0 + c1 * a) < 1e-300 and abs(c0 + c1 * b) < 1e-300
 
@@ -67,7 +75,7 @@ def reference_divergences(p: MeasureSpec, q: MeasureSpec) -> DivergenceReport:
             continue
         cuts = {a0, b0}
         for c0, c1 in ((pc0, pc1), (qc0, qc1), (pc0 - qc0, pc1 - qc1)):
-            r = _affine_root_inside(c0, c1, a0, b0)
+            r = _root_inside(c0, c1, a0, b0)
             if r is not None:
                 cuts.add(r)
         grid = sorted(cuts)
@@ -139,6 +147,15 @@ class TestSpotValues:
         for _ in range(2000):
             spec = random_measure(rng)
             assert_exact_identity(divergences(spec, spec))
+
+    @pytest.mark.parametrize("order", [(2, 1, 0), (1, 2, 0)], ids=["reversed", "rotated"])
+    def test_identity_exact_for_reordered_atoms(self, order):
+        # summed atom by atom, this pair's affinity rounds to 1 - 2^-53
+        atoms = ((0.25, 0.3), (0.5, 0.2), (0.75, 0.1))
+        p = MeasureSpec(pieces=((0.0, 1.0, 0.4, 0.0),), atoms=atoms)
+        q = MeasureSpec(pieces=p.pieces, atoms=tuple(atoms[k] for k in order))
+        assert_exact_identity(divergences(p, q))
+        assert_exact_identity(divergences(q, p))
 
     def test_uniform_vs_2x(self):
         rep = divergences(lebesgue(), affine(2.0))
@@ -218,6 +235,17 @@ class TestSpotValues:
         assert abs(rep.hellinger_affinity - aff) <= 1e-14
         assert abs(rep.kl - kl) <= 1e-14
         assert rep.bhattacharyya == 0.0 - math.log(rep.hellinger_affinity)
+
+    def test_tv_counts_a_dip_where_the_other_density_is_zero(self):
+        # p's middle piece runs from -5e-13 to 5e-13 where q has no density:
+        # its TV term is the two triangles' mass, not their signed sum of 0
+        c = 1.0 / 0.9
+        q = MeasureSpec(pieces=((0.0, 0.5, c, 0.0), (0.6, 1.0, c, 0.0)))
+        p = MeasureSpec(pieces=((0.0, 0.5, c, 0.0), (0.5, 0.6, -5.5e-12, 1e-11), (0.6, 1.0, c, 0.0)))
+        for a, b in ((p, q), (q, p)):
+            assert abs(divergences(a, b).tv - 2.5e-14) <= 1e-26
+        assert math.isinf(divergences(p, q).kl) and not absolutely_continuous(p, q)
+        assert divergences(q, p).kl == 0.0 and absolutely_continuous(q, p)
 
     def test_atom_missing_in_q_gives_infinite_kl(self):
         mix = MeasureSpec(pieces=((0.0, 1.0, 0.9, 0.0),), atoms=((0.5, 0.1),))
@@ -336,6 +364,94 @@ class TestKakutani:
         assert v.diagnosis == "diverging"
         assert v.partial_sums == pytest.approx(0.25 * np.arange(1, 5), abs=1e-12)
 
+    def test_unknown_choice_rejected_before_any_walk(self):
+        # the first term fails absolute continuity, so no report is read
+        mix = MeasureSpec(pieces=((0.0, 1.0, 0.9, 0.0),), atoms=((0.5, 0.1),))
+        with pytest.raises(ValueError, match="unknown divergence choice"):
+            kakutani_criterion(lebesgue(), [mix] * 5, "hellinger")
+        with pytest.raises(ValueError, match="unknown divergence choice"):
+            kakutani_criterion(lebesgue(), [], "hellinger")
+
+
+def reference_kakutani(base: MeasureSpec, family: list, choice: str, horizon: int = 64):
+    """Every term walked on its own, with the sums, products and tail
+    rule formed here: (partial sums, partial products, diagnosis)."""
+    terms, sums, prods = [], [], []
+    s, running = 0.0, 1.0
+    for spec in family[:horizon]:
+        if not absolutely_continuous(spec, base):
+            return sums, prods, "diverging"
+        rep = divergences(spec, base)
+        terms.append(getattr(rep, choice))
+        s += terms[-1]
+        running *= rep.hellinger_affinity
+        sums.append(s)
+        prods.append(running)
+    half = len(terms) // 2 - 1
+    if s == 0.0 or abs(s - sums[half]) < 1e-3 * s:
+        return sums, prods, "summable"
+    if s > 1e6 or (terms[-1] > 0.0 and terms[-1] >= (1.0 - 1e-3) * terms[half]):
+        return sums, prods, "diverging"
+    return sums, prods, "inconclusive"
+
+
+# equal pieces, different atoms: a term may only reuse the walk of an
+# equal measure, not of one with the same density
+ATOM_BASE = MeasureSpec(pieces=((0.0, 1.0, 0.8, 0.0),), atoms=((0.3, 0.1), (0.6, 0.1)))
+ATOM_A = MeasureSpec(pieces=ATOM_BASE.pieces, atoms=((0.3, 0.2),))
+ATOM_B = MeasureSpec(pieces=ATOM_BASE.pieces, atoms=((0.3, 0.15), (0.6, 0.05)))
+ATOM_B_REORDERED = MeasureSpec(pieces=ATOM_B.pieces, atoms=ATOM_B.atoms[::-1])
+# the same density as NEAR_BASE, with an atom the base lacks
+NEAR_BASE = MeasureSpec(pieces=((0.0, 1.0, 0.9, 0.0),), atoms=((0.25, 0.1),))
+OFF_ATOM = MeasureSpec(pieces=NEAR_BASE.pieces, atoms=((0.5, 0.1),))
+
+
+class TestKakutaniReuse:
+    """A term equal to the one before reuses its walk; every trace must
+    still match a loop that walks each term on its own, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "base, family",
+        [
+            (lebesgue(), [tilt(0.3), tilt(0.6)] * 20),
+            (ATOM_BASE, [ATOM_A, ATOM_B] * 20),
+            (ATOM_BASE, [ATOM_B, ATOM_B_REORDERED, ATOM_A] * 10),
+            (
+                lebesgue(),
+                [MeasureSpec(pieces=tilt(0.4).pieces, label=f"copy {k}") for k in range(40)],
+            ),
+            (lebesgue(), [tilt(0.5)] * 6 + [tilt(0.25)] * 6 + [dirac(0.5)]),
+            (NEAR_BASE, [MeasureSpec(pieces=NEAR_BASE.pieces, atoms=NEAR_BASE.atoms)] * 8 + [OFF_ATOM]),
+        ],
+        ids=[
+            "alternating",
+            "alternating-atoms",
+            "reordered-atoms",
+            "labelled-copies",
+            "repeats-then-singular",
+            "repeats-then-new-atom",
+        ],
+    )
+    @pytest.mark.parametrize("choice", ["tv", "kl", "bhattacharyya"])
+    def test_matches_term_by_term_loop(self, base, family, choice):
+        v = kakutani_criterion(base, iter(family), choice, horizon=64)
+        sums, prods, diagnosis = reference_kakutani(base, family, choice)
+        assert [x.hex() for x in v.partial_sums.tolist()] == [x.hex() for x in sums]
+        assert [x.hex() for x in v.partial_products.tolist()] == [x.hex() for x in prods]
+        assert v.diagnosis == diagnosis
+
+    def test_constant_family_walks_once(self, monkeypatch):
+        walks, walk = [], divergence._divergences
+
+        def counting(p, q):
+            walks.append(p)
+            return walk(p, q)
+
+        monkeypatch.setattr(divergence, "_divergences", counting)
+        v = kakutani_criterion(lebesgue(), [tilt(0.5)] * 64, "tv", horizon=64)
+        assert v.diagnosis == "diverging" and len(v.partial_sums) == 64
+        assert len(walks) == 1
+
 
 def adjacent_measure(rng: np.random.Generator) -> MeasureSpec:
     """Two affine pieces that meet at a random point and cover [0, 1]."""
@@ -354,6 +470,15 @@ def dipping_measure(rng: np.random.Generator) -> MeasureSpec:
     if rng.integers(0, 2):
         return MeasureSpec(pieces=((0.0, 1.0, 2.0 + d, -2.0 - 2.0 * d),))
     return MeasureSpec(pieces=((0.0, 1.0, -d, 2.0 + 2.0 * d),))
+
+
+def steep_dip_measure(lo: float, slope: float, dip: float) -> MeasureSpec:
+    """Density slope (x - lo) - dip on [lo, 1], constant on [0, lo]: its
+    root falls just inside [lo, 1], where rounding leaves the density
+    at the computed root a few ulps of slope * lo away from 0."""
+    c0 = -slope * lo - dip
+    mass = c0 * (1.0 - lo) + 0.5 * slope * (1.0 - lo * lo)
+    return MeasureSpec(pieces=((0.0, lo, (1.0 - mass) / lo, 0.0), (lo, 1.0, c0, slope)))
 
 
 def pinned_pairs() -> list[tuple[MeasureSpec, MeasureSpec]]:
@@ -391,6 +516,20 @@ class TestPinnedBitForBit:
     def test_divergence_reports(self):
         reports = [divergences(p, q) for p, q in pinned_pairs()]
         assert digest(getattr(r, f) for r in reports for f in FIELDS) == "650ca37ea8645b73"
+
+    def test_roots_just_inside_a_piece(self):
+        # each density is exactly 0 at its own cut root, whatever the
+        # rounding of c0 + c1 * root; recorded with the merged-piece walk
+        # that preceded the flat one
+        specs = [
+            steep_dip_measure(lo, slope, dip)
+            for lo in (0.25, 0.5, 0.75)
+            for slope in (1.5, 2.0, 3.0)
+            for dip in (1e-13, 3e-13, 5e-13)
+        ]
+        pairs = [(s, q) for s in specs for q in (lebesgue(), affine(1.0), specs[0], specs[13])]
+        reports = [divergences(p, q) for a, b in pairs for p, q in ((a, b), (b, a))]
+        assert digest(getattr(r, f) for r in reports for f in FIELDS) == "a00819410e858552"
 
     def test_absolute_continuity_verdicts(self):
         verdicts = "".join("1" if absolutely_continuous(p, q) else "0" for p, q in pinned_pairs())
