@@ -350,8 +350,9 @@ def kakutani_criterion(
     when the sums blow past 1e6, when the terms stop decaying, or
     when a perturbation fails absolute continuity, and `inconclusive`
     otherwise.  Hellinger-affinity partial products are reported
-    alongside.  A family that ends, dominated, after fewer than 4 terms
-    (the horizon's own floor) raises ValueError.
+    alongside.  An unknown divergence_choice, or a family that ends,
+    dominated, after fewer than 4 terms (the horizon's own floor),
+    raises ValueError.
     """
     if horizon < 4:
         raise ValueError("horizon must be at least 4")
